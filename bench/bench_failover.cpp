@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/core/fault_plan.h"
 #include "src/core/toolkit.h"
 #include "src/tclite/value.h"
 
@@ -38,6 +37,8 @@ proc add {t} { global state; lappend state $t; return $state }
 
 constexpr double kKillAtSeconds = 15;
 constexpr double kWindowSeconds = 30;
+// Failure-detection delay between the kill and the promotion.
+constexpr Duration kDetectionDelay = Duration::Millis(200);
 
 struct RunResult {
   uint64_t issued = 0;
@@ -75,10 +76,13 @@ RunResult Measure(const LinkProfile& profile, int calls_per_sec) {
   bed.AddLink("mobile", "backup", profile);
 
   const TimePoint kill_at = TimePoint::Epoch() + Duration::Seconds(kKillAtSeconds);
-  FaultPlan plan(bed.loop(), /*seed=*/1);
-  FailoverOptions fopts;
-  fopts.at = kill_at;
-  plan.ScheduleFailover(bed.server(), backup, {client}, fopts);
+  // Kill the primary for good, then promote the backup and engage the
+  // client's failover route one failure-detection delay later.
+  bed.loop()->ScheduleAt(kill_at, [&] { bed.server()->Kill(); });
+  bed.loop()->ScheduleAt(kill_at + kDetectionDelay, [backup, client] {
+    backup->Promote();
+    client->qrpc()->TriggerFailover();
+  });
   RunResult r;
   struct Call {
     TimePoint issued;
@@ -147,7 +151,7 @@ RunResult Measure(const LinkProfile& profile, int calls_per_sec) {
       // Responses the primary released before dying can still land after
       // the kill; recovery is marked by the first completion the promoted
       // backup could have served.
-      if (c.completed >= kill_at + fopts.detection_delay) {
+      if (c.completed >= kill_at + kDetectionDelay) {
         first_after_kill = std::min(first_after_kill, c.completed);
       }
     }

@@ -1,19 +1,17 @@
-// SimCheck schedule fuzzer driver. Runs the seeded interleaving fuzzer
-// over a seed corpus, and on the first failure prints the full violation
-// report plus a minimized one-line reproducer, then exits nonzero.
+// SimCheck fault-harness driver. Runs one corpus of the seeded fault
+// harness over a seed list, and on the first failure prints the full
+// violation report plus a minimized one-line reproducer, then exits
+// nonzero.
 //
 // Usage:
-//   fuzz_simcheck [seed...]            run the given seeds
-//   fuzz_simcheck --repro '<line>'     replay a SIMCHECK_REPRO line
-//   fuzz_simcheck --disk-faults [...]  mix storage faults into each plan
-//   ROVER_SIMCHECK_SEEDS="1-64" fuzz_simcheck
-//                                      seed ranges/lists via environment
-//   ROVER_SIMCHECK_DISK_FAULTS=1       same as --disk-faults
-// With no seeds given, runs the default corpus 1..24.
+//   fuzz_simcheck [--corpus NAME] SEEDSPEC...   run seeds of one corpus
+//   fuzz_simcheck --repro '<line>'              replay a SIMCHECK_REPRO line
+// NAME is schedule (default), disk, failover or overload. A SEEDSPEC is
+// "7", "1-64", or a comma-separated mix; with none, seeds 1..24 run.
+// --eager-bug re-introduces the known coalescing bug (checker self-test).
+// A malformed, reversed or empty spec exits 2.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -21,43 +19,15 @@
 
 namespace {
 
-// Accepts "7", "1-64", and comma-separated mixes of both.
-std::vector<uint64_t> ParseSeedSpec(const std::string& spec) {
-  std::vector<uint64_t> seeds;
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = spec.size();
-    }
-    const std::string item = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (item.empty()) {
-      continue;
-    }
-    const size_t dash = item.find('-');
-    if (dash == std::string::npos) {
-      seeds.push_back(std::strtoull(item.c_str(), nullptr, 10));
-    } else {
-      const uint64_t lo = std::strtoull(item.substr(0, dash).c_str(), nullptr, 10);
-      const uint64_t hi = std::strtoull(item.substr(dash + 1).c_str(), nullptr, 10);
-      for (uint64_t s = lo; s <= hi; ++s) {
-        seeds.push_back(s);
-      }
-    }
-  }
-  return seeds;
-}
-
-int ReplayRepro(const std::string& line) {
+int ReplayRepro(const std::string& line, const rover::check::FuzzRunOptions& run) {
   auto plan = rover::check::ParseRepro(line);
   if (!plan.ok()) {
     std::fprintf(stderr, "bad repro line: %s\n", plan.status().message().c_str());
     return 2;
   }
-  rover::check::FuzzOutcome outcome = rover::check::RunPlan(*plan);
+  rover::check::FuzzOutcome outcome = rover::check::RunPlan(*plan, run);
   if (outcome.ok) {
-    std::printf("repro passed (seed %llu, %zu actions)\n",
+    std::printf("repro passed (corpus %s, seed %llu, %zu actions)\n", plan->corpus->name,
                 static_cast<unsigned long long>(plan->seed), plan->actions.size());
     return 0;
   }
@@ -68,62 +38,34 @@ int ReplayRepro(const std::string& line) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 3 && std::strcmp(argv[1], "--repro") == 0) {
-    return ReplayRepro(argv[2]);
+  auto command = rover::check::ParseFuzzCommand(std::vector<std::string>(argv + 1, argv + argc));
+  if (!command.ok()) {
+    std::fprintf(stderr, "fuzz_simcheck: %s\n", command.status().message().c_str());
+    return 2;
+  }
+  if (!command->repro.empty()) {
+    return ReplayRepro(command->repro, command->run);
   }
 
-  rover::check::FuzzRunOptions run_options;
-  rover::check::MakePlanOptions plan_options;
-  std::vector<uint64_t> seeds;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--eager-bug") == 0) {
-      // Re-introduce the known coalescing bug (checker self-test).
-      run_options.eager_coalesce_bug = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--disk-faults") == 0) {
-      plan_options.disk_faults = true;
-      continue;
-    }
-    for (uint64_t s : ParseSeedSpec(argv[i])) {
-      seeds.push_back(s);
-    }
-  }
-  if (const char* env = std::getenv("ROVER_SIMCHECK_DISK_FAULTS")) {
-    if (env[0] != '\0' && std::strcmp(env, "0") != 0) {
-      plan_options.disk_faults = true;
-    }
-  }
-  if (seeds.empty()) {
-    if (const char* env = std::getenv("ROVER_SIMCHECK_SEEDS")) {
-      seeds = ParseSeedSpec(env);
-    }
-  }
-  if (seeds.empty()) {
-    for (uint64_t s = 1; s <= 24; ++s) {
-      seeds.push_back(s);
-    }
-  }
-
-  for (uint64_t seed : seeds) {
-    rover::check::FuzzPlan plan = rover::check::MakePlan(seed, plan_options);
-    rover::check::FuzzOutcome outcome = rover::check::RunPlan(plan, run_options);
+  for (uint64_t seed : command->seeds) {
+    rover::check::FuzzPlan plan = rover::check::MakePlan(seed, *command->corpus);
+    rover::check::FuzzOutcome outcome = rover::check::RunPlan(plan, command->run);
     if (outcome.ok) {
-      std::printf("seed %-6llu ok    (%zu actions)\n",
+      std::printf("%s seed %-6llu ok    (%zu actions)\n", command->corpus->name,
                   static_cast<unsigned long long>(seed), plan.actions.size());
       continue;
     }
-    std::printf("seed %-6llu FAIL\n%s", static_cast<unsigned long long>(seed),
-                outcome.report.c_str());
+    std::printf("%s seed %-6llu FAIL\n%s", command->corpus->name,
+                static_cast<unsigned long long>(seed), outcome.report.c_str());
     std::printf("shrinking...\n");
-    rover::check::FuzzPlan shrunk = rover::check::ShrinkPlan(plan, run_options);
-    rover::check::FuzzOutcome minimized = rover::check::RunPlan(shrunk, run_options);
+    rover::check::FuzzPlan shrunk = rover::check::ShrinkPlan(plan, command->run);
+    rover::check::FuzzOutcome minimized = rover::check::RunPlan(shrunk, command->run);
     std::printf("%s\n", rover::check::FormatRepro(shrunk).c_str());
     if (!minimized.report.empty()) {
       std::printf("%s", minimized.report.c_str());
     }
     return 1;
   }
-  std::printf("all %zu seeds clean\n", seeds.size());
+  std::printf("all %zu %s seeds clean\n", command->seeds.size(), command->corpus->name);
   return 0;
 }

@@ -1,17 +1,29 @@
-// Seeded interleaving fuzzer for SimCheck. A FuzzPlan is a small sorted
-// list of fault actions (client/server crash-restarts with optional torn
-// writes, cached-image corruption, coalescing export bursts) drawn from a
-// seed and executed against a fixed two-client workload over seeded flappy
-// links. RunPlan drives the deployment to quiescence under an attached
-// SimCheck, then layers harness-level end-to-end checks on top (journal
-// at-most-once, acknowledged-work durability, log drain, client/server
-// convergence).
+// Seeded fault harness for SimCheck -- the one place chaos schedules are
+// drawn, run, checked, shrunk, and replayed. A FuzzPlan is a small sorted
+// list of fault actions drawn from a seed and executed against a fixed
+// two-client workload over seeded flappy links. Which deployment the plan
+// runs on and which action kinds MakePlan may draw come from the plan's
+// Corpus, one data record per named corpus:
+//
+//   schedule  crash-restarts (optionally torn), cached-image corruption and
+//             coalescing export bursts
+//   disk      schedule plus storage faults on every stable device
+//   failover  a warm backup server; the primary is killed and the backup
+//             promoted one detection delay later
+//   overload  client queue/log/call budgets, a concurrency-capped server
+//             and a lossy link, plus background prefetch bursts
+//
+// RunPlan drives the deployment to quiescence under an attached SimCheck,
+// then layers harness-level end-to-end checks on top of it: journal
+// at-most-once, acknowledged-work durability, refusals that never execute,
+// log drain, convergence and epoch accounting on the node serving at the
+// end, every scheduled action executed, memory and retry budgets held.
 //
 // On failure, ShrinkPlan greedily drops actions while the plan keeps
 // failing, and FormatRepro/ParseRepro round-trip the minimized schedule as
-// a one-line reproducer:
+// a one-line reproducer (`corpus=` may be omitted, meaning schedule):
 //
-//   SIMCHECK_REPRO seed=7 plan=burst@20000,client2-crash-tear@20052
+//   SIMCHECK_REPRO corpus=schedule seed=7 plan=burst@20000,client2-crash-tear@20052
 
 #ifndef ROVER_SRC_CHECK_FUZZ_H_
 #define ROVER_SRC_CHECK_FUZZ_H_
@@ -39,6 +51,8 @@ enum class FuzzActionKind {
   kDiskFree,       // lift the capacity clamp again
   kDiskRot,        // flip bits in a durable record (latent interior rot)
   kDiskSyncFail,   // permanent sync failure (node fail-stops)
+  kFailover,       // kill the primary; promote the backup after detection
+  kPrefetch,       // m1 prefetches three pages at background priority
 };
 
 struct FuzzAction {
@@ -48,16 +62,43 @@ struct FuzzAction {
   bool tear = false;   // power cut mid-write for the crash kinds
 };
 
-struct FuzzPlan {
-  uint64_t seed = 0;
-  std::vector<FuzzAction> actions;  // sorted by at_ms
+// A named corpus: the deployment a plan runs on plus the action kinds
+// MakePlan may draw for it. RunPlan reads only these fields.
+struct Corpus {
+  const char* name = "";
+  uint32_t kinds = 0;  // bit (1 << kind) per FuzzActionKind MakePlan may draw
+  // --- deployment ---
+  bool backup = false;   // warm backup server; clients carry the failover route
+  bool budgets = false;  // client queue/log/call/retry budgets, breaker,
+                         // degraded mode; concurrency-capped server
+  double link_loss = 0;  // frame loss on every client link
+  // m1's journaled token workload: `tokens` server-side adds from 2s on,
+  // `token_gap_ms` apart.
+  int tokens = 12;
+  uint64_t token_gap_ms = 3'000;
+
+  bool Draws(FuzzActionKind kind) const {
+    return (kinds >> static_cast<int>(kind)) & 1u;
+  }
+  // Whether the deployment can run `kind` at all (a repro line may name
+  // kinds the corpus does not draw, e.g. a disk fault in schedule): a
+  // failover needs the backup, a prefetch the pages that prefetching
+  // corpora create.
+  bool Deploys(FuzzActionKind kind) const;
 };
 
-struct MakePlanOptions {
-  // Also draw storage-fault actions (transient write-error bursts, bounded
-  // disk-full episodes always paired with a later free, client bit rot,
-  // rare permanent sync failures).
-  bool disk_faults = false;
+extern const Corpus kScheduleCorpus;
+extern const Corpus kDiskCorpus;
+extern const Corpus kFailoverCorpus;
+extern const Corpus kOverloadCorpus;
+
+// The corpus with this name, or nullptr.
+const Corpus* FindCorpus(const std::string& name);
+
+struct FuzzPlan {
+  const Corpus* corpus = &kScheduleCorpus;
+  uint64_t seed = 0;
+  std::vector<FuzzAction> actions;  // sorted by at_ms
 };
 
 struct FuzzRunOptions {
@@ -77,15 +118,13 @@ struct FuzzOutcome {
   std::string report;                 // human-readable failure summary
 };
 
-// Draws a plan from the seed: crash points, corruption, and bursts over a
-// ~55s horizon, biased so a burst is often shadowed by a torn client crash
-// (the coalescing durability window). With options.disk_faults, seeded
-// storage faults are mixed into the same schedule.
-FuzzPlan MakePlan(uint64_t seed);
-FuzzPlan MakePlan(uint64_t seed, MakePlanOptions options);
+// Draws a plan from the seed over a ~55s horizon: one or two coalescing
+// bursts, each often shadowed by a torn client crash (the coalescing
+// durability window), plus extra faults of the kinds `corpus` draws.
+FuzzPlan MakePlan(uint64_t seed, const Corpus& corpus = kScheduleCorpus);
 
-// Builds the deployment, runs the workload with `plan`'s faults injected,
-// drains, and reports every violation found.
+// Builds the corpus's deployment, runs the workload with `plan`'s faults
+// injected, drains, and reports every violation found.
 FuzzOutcome RunPlan(const FuzzPlan& plan, FuzzRunOptions options = {});
 
 // Greedy minimization: repeatedly re-runs the plan with one action dropped
@@ -95,6 +134,22 @@ FuzzPlan ShrinkPlan(const FuzzPlan& plan, FuzzRunOptions options = {});
 
 std::string FormatRepro(const FuzzPlan& plan);
 Result<FuzzPlan> ParseRepro(const std::string& line);
+
+// Seed specs: "7", "1-64", and comma-separated mixes of both. Rejects empty
+// items, non-digits, and reversed ranges.
+Result<std::vector<uint64_t>> ParseSeedSpec(const std::string& spec);
+
+// Command line of the fuzz driver:
+//   [--corpus NAME] [--eager-bug] SEEDSPEC...   (flags in any order)
+//   [--eager-bug] --repro LINE                  (the line names its corpus)
+// With no seed spec the seeds are 1..24.
+struct FuzzCommand {
+  const Corpus* corpus = &kScheduleCorpus;
+  std::vector<uint64_t> seeds;
+  std::string repro;  // non-empty: replay this line instead of seeds
+  FuzzRunOptions run;
+};
+Result<FuzzCommand> ParseFuzzCommand(const std::vector<std::string>& args);
 
 }  // namespace check
 }  // namespace rover

@@ -168,7 +168,8 @@ class QrpcClient {
   bool Cancel(uint64_t rpc_id);
 
   // Re-issues every durable logged request that has no response yet.
-  // Used after StableLog::SimulateCrash + Recover to model client restart.
+  // Used after StableLog::SimulateCrash + RecoverWithReport to model a
+  // client restart.
   // Returns the number of requests re-sent.
   size_t RecoverFromLog();
 

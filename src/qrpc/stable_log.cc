@@ -166,18 +166,7 @@ Result<Buffer> StableLog::RecordPayload(const Record& rec) const {
   return Buffer(std::move(raw));
 }
 
-void StableLog::Flush(FlushCallback done) { FlushInternal(std::move(done)); }
-
-void StableLog::Flush(std::function<void()> done) {
-  if (!done) {
-    FlushInternal(FlushCallback{});
-    return;
-  }
-  // Legacy callers observe completion, not the outcome.
-  FlushInternal([done = std::move(done)](const Status&) { done(); });
-}
-
-void StableLog::FlushInternal(FlushCallback done) {
+void StableLog::Flush(FlushCallback done) {
   obs::CpuScope cpu(obs::CpuZone::kWalFlush);
   if (cost_model_.group_commit) {
     waiting_flushes_.push_back(std::move(done));
@@ -418,8 +407,8 @@ std::vector<StableLog::Record> StableLog::DurableRecords() const {
 void StableLog::SimulateCrash(bool tear_last_record) {
   // If a device write was in progress, its newest record may have partially
   // reached the platter: with tear_last_record it survives as a torn record
-  // (kept, marked durable, bytes damaged) for Recover()'s CRC scan to
-  // reject, instead of vanishing silently with the volatile tail.
+  // (kept, marked durable, bytes damaged) for RecoverWithReport()'s CRC
+  // scan to reject, instead of vanishing silently with the volatile tail.
   bool tore_in_flight = false;
   if (tear_last_record) {
     for (auto it = records_.rbegin(); it != records_.rend(); ++it) {
@@ -459,7 +448,7 @@ void StableLog::SimulateCrash(bool tear_last_record) {
     }
   }
   // Pending write completions and retries stamp the old generation and do
-  // nothing when they fire; Recover() re-validates everything.
+  // nothing when they fire; RecoverWithReport() re-validates everything.
   ++crash_generation_;
   flush_busy_until_ = loop_->now();
   flush_in_flight_ids_.clear();
@@ -514,8 +503,6 @@ StableLog::RecoveryReport StableLog::RecoverWithReport() {
   report.valid = records_.size();
   return report;
 }
-
-size_t StableLog::Recover() { return RecoverWithReport().valid; }
 
 StableLog::ScrubReport StableLog::Scrub() {
   ScrubReport report;

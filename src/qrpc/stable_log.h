@@ -48,9 +48,10 @@ struct StableLogCostModel {
   bool group_commit = true;
   // Compress record payloads before they hit the device (the prototype
   // "does not perform any compression on the log", §5.2). A record is
-  // stored compressed only when that actually shrinks it; Recover() and
-  // RecordPayload() transparently decompress. Opt-in: it trades CPU for
-  // flush bytes, which only pays off on byte-constrained stable stores.
+  // stored compressed only when that actually shrinks it;
+  // RecoverWithReport() and RecordPayload() transparently decompress.
+  // Opt-in: it trades CPU for flush bytes, which only pays off on
+  // byte-constrained stable stores.
   bool compress_log = false;
   // Transient device write errors are retried up to this many times with
   // decorrelated-jitter backoff before the flush fails with kUnavailable.
@@ -127,9 +128,6 @@ class StableLog {
   // are not written again -- an overlapping flush only pays for (and charges
   // stats for) the remainder.
   void Flush(FlushCallback done);
-  // Legacy form for callers that do not inspect the outcome.
-  void Flush(std::function<void()> done);
-  void Flush(std::nullptr_t) { Flush(FlushCallback{}); }
 
   // True when no appended record is awaiting a flush.
   bool FullyDurable() const;
@@ -193,9 +191,6 @@ class StableLog {
   // caller can surface kDataLoss instead of silently losing work.
   RecoveryReport RecoverWithReport();
 
-  // Compatibility wrapper: returns the number of surviving records.
-  size_t Recover();
-
   // Proactive CRC sweep over durable records; interior corruption found
   // outside recovery is quarantined the same way.
   ScrubReport Scrub();
@@ -237,7 +232,6 @@ class StableLog {
     std::vector<FlushCallback> callbacks;
   };
 
-  void FlushInternal(FlushCallback done);
   void StartGroupWrite();
   void ScheduleAttempt(std::shared_ptr<WriteJob> job);
   void CompleteWrite(const std::shared_ptr<WriteJob>& job, const Status& status);

@@ -81,10 +81,6 @@ void ServerStableStore::Flush(StableLog::FlushCallback done) {
   wal_.Flush(std::move(done));
 }
 
-void ServerStableStore::Flush(std::function<void()> done) {
-  wal_.Flush(std::move(done));
-}
-
 void ServerStableStore::WriteSnapshot(Bytes object_image,
                                       std::vector<CachedResponseEntry> responses,
                                       std::function<void()> done) {

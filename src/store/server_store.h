@@ -109,9 +109,6 @@ class ServerStableStore {
   // transaction is NOT durable and its response must not leave). Response
   // sends gate on this.
   void Flush(StableLog::FlushCallback done);
-  // Legacy form for callers that do not inspect the outcome.
-  void Flush(std::function<void()> done);
-  void Flush(std::nullptr_t) { Flush(StableLog::FlushCallback{}); }
 
   bool NeedsCompaction() const {
     return !compaction_in_progress_ && wal_.RecordCount() >= options_.compact_after_records;

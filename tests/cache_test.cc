@@ -501,7 +501,7 @@ TEST_F(AccessManagerTest, CrashRecoveryCommitsQueuedExport) {
 
   // Crash: the export RPC survives in the stable log and is re-issued.
   client->log()->SimulateCrash();
-  ASSERT_GE(client->log()->Recover(), 1u);
+  ASSERT_GE(client->log()->RecoverWithReport().valid, 1u);
   EXPECT_GE(client->qrpc()->RecoverFromLog(), 1u);
   bed.Run();
   EXPECT_EQ(bed.server()->store()->Get("counter")->data, "8");

@@ -7,22 +7,17 @@
 // torn client log records losing only uncommitted calls.
 // Part 3 covers the subscription lifecycle across restarts: re-subscribe on
 // epoch bump, unsubscribe on eviction, GC of unreachable subscribers.
-// Part 4 is the chaos harness: a seeded FaultPlan crashes both ends at
-// random times (sometimes tearing the record under the in-flight device
-// write) over a flapping, duplicating, reordering link, and the same
-// invariants must hold for every seed.
+// Seeded random crash schedules run in the fault harness's schedule corpus
+// (src/check/fuzz.h, tests/simcheck_test.cc).
 
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "src/check/simcheck.h"
-#include "src/core/fault_plan.h"
 #include "src/core/toolkit.h"
 #include "src/store/server_store.h"
-#include "src/tclite/value.h"
 
 namespace rover {
 namespace {
@@ -30,14 +25,6 @@ namespace {
 constexpr char kCounterCode[] = R"(
 proc get {} { global state; return $state }
 proc add {n} { global state; set state [expr {$state + $n}]; return $state }
-)";
-
-// Appends its argument to a list-valued state: every successful execution
-// leaves exactly one copy of the token behind, which is what the at-most-once
-// invariants count.
-constexpr char kJournalCode[] = R"(
-proc get {} { global state; return $state }
-proc add {t} { global state; lappend state $t; return $state }
 )";
 
 // Runs the loop in small increments until `pred` holds (or the deadline
@@ -462,117 +449,6 @@ TEST(SubscriptionTest, UnreachableSubscriberGarbageCollected) {
   EXPECT_EQ(bed.server()->rover()->stats().subscribers_dropped, 1u);
   EXPECT_EQ(bed.server()->rover()->SubscriberCount("counter"), 0u);
 }
-
-// --- Part 4: seeded chaos --------------------------------------------------
-
-// One flapping, duplicating, reordering link; a disk-like WAL with real
-// crash windows; aggressive compaction; random server/client crash-restarts
-// (half of them tearing the in-flight record). Whatever the seed:
-//   1. every journal token appears at most once (at-most-once execution
-//      across dup frames, crash-resend races, and dup-cache replays);
-//   2. only issued tokens appear;
-//   3. a call whose result resolved OK has its token durably present
-//      (acknowledged work survives every later crash);
-//   4. the client's stable log and pending set drain to empty;
-//   5. the server epoch advanced once per recovery;
-//   6. a fresh uncached import converges the client to the server's state.
-class ChaosTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(ChaosTest, InvariantsHoldUnderRandomFaults) {
-  Testbed::Options topts;
-  topts.server.stable_store.wal_costs = {Duration::Millis(5), 2e6,
-                                         /*group_commit=*/true};
-  topts.server.stable_store.compact_after_records = 8;
-  topts.server.rover.invalidation_ttl = Duration::Seconds(30);
-  Testbed bed(topts);
-  bed.loop()->set_event_limit(20'000'000);
-
-  check::SimCheck simcheck;
-  simcheck.Attach(&bed);
-  ASSERT_TRUE(bed.server()->rover()->CreateObject(
-      MakeRdo("journal", "lww", kJournalCode, "")).ok());
-
-  FaultPlan plan(bed.loop(), GetParam());
-  LinkProfile wave = LinkProfile::WaveLan2();
-  wave.duplicate_prob = 0.05;
-  wave.reorder_prob = 0.05;
-  ClientNodeOptions copts;
-  copts.access.subscribe_on_import = true;
-  RoverClientNode* client = bed.AddClient(
-      "mobile", wave,
-      plan.FlappyConnectivity(Duration::Seconds(8), Duration::Seconds(4),
-                              Duration::Seconds(60)),
-      copts);
-
-  bed.loop()->ScheduleAt(TimePoint::Epoch() + Duration::Seconds(1), [&] {
-    client->access()->Import("journal");
-  });
-  constexpr int kTokens = 12;
-  std::vector<Promise<InvokeResult>> results(kTokens);
-  for (int i = 0; i < kTokens; ++i) {
-    bed.loop()->ScheduleAt(
-        TimePoint::Epoch() + Duration::Seconds(2 + 3 * i), [&results, client, i] {
-          InvokeOptions io;
-          io.force_site = ExecutionSite::kServer;
-          results[i] = client->access()->Invoke("journal", "add",
-                                                {"tok" + std::to_string(i)}, io);
-        });
-  }
-
-  RandomFaultOptions fopts;
-  fopts.horizon = Duration::Seconds(45);
-  fopts.server_crashes = 2;
-  fopts.client_crashes = 1;
-  fopts.tear_probability = 0.5;
-  plan.ScheduleRandomFaults(bed.server(), {client}, fopts);
-  // After every random fault and link flap (the link is permanently up from
-  // 60s), one last restart resends every durable unanswered request, so the
-  // run always quiesces with an empty log.
-  plan.CrashClientAt(client, TimePoint::Epoch() + Duration::Seconds(61));
-
-  bed.Run();
-
-  const std::string server_data = bed.server()->store()->Get("journal")->data;
-  auto tokens = TclListSplit(server_data);
-  ASSERT_TRUE(tokens.ok());
-  std::set<std::string> unique(tokens->begin(), tokens->end());
-  EXPECT_EQ(unique.size(), tokens->size())
-      << "an add executed twice: [" << server_data << "]";
-  std::set<std::string> issued;
-  for (int i = 0; i < kTokens; ++i) {
-    issued.insert("tok" + std::to_string(i));
-  }
-  for (const std::string& tok : *tokens) {
-    EXPECT_EQ(issued.count(tok), 1u) << "unknown token " << tok;
-  }
-  for (int i = 0; i < kTokens; ++i) {
-    if (results[i].ready() && results[i].value().status.ok()) {
-      EXPECT_EQ(unique.count("tok" + std::to_string(i)), 1u)
-          << "acknowledged tok" << i << " lost: [" << server_data << "]";
-    }
-  }
-  EXPECT_EQ(client->qrpc()->LogDepth(), 0u);
-  EXPECT_EQ(client->qrpc()->PendingCount(), 0u);
-  EXPECT_EQ(plan.server_crashes_executed(), 2u);
-  EXPECT_EQ(plan.client_crashes_executed(), 2u);  // 1 random + final sweep
-  EXPECT_EQ(bed.server()->stable_store()->epoch(),
-            1 + plan.server_crashes_executed());
-
-  ImportOptions iopts;
-  iopts.allow_cached = false;
-  auto converge = client->access()->Import("journal", iopts);
-  ASSERT_TRUE(converge.Wait(bed.loop()));
-  ASSERT_TRUE(converge.value().status.ok());
-  EXPECT_EQ(*client->access()->ReadCommittedData("journal"), server_data);
-  EXPECT_EQ(client->qrpc()->LastSeenEpoch("server"),
-            bed.server()->stable_store()->epoch());
-
-  simcheck.CheckQuiesced();
-  EXPECT_TRUE(simcheck.ok()) << simcheck.Report() << simcheck.TraceTail(150);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ChaosTest,
-                         ::testing::Range(uint64_t{1}, uint64_t{29}));
 
 }  // namespace
 }  // namespace rover

@@ -9,25 +9,17 @@
 // hands the service to the backup through the fail-stop failover handler;
 // and a silent backup degrades the sender to asynchronous shipping
 // instead of wedging response release.
-// Part 2 is the failover chaos harness: a seeded FaultPlan kills the
-// primary for good at a random point in the run (mid-WAL-flush,
-// mid-coalesce, mid-anything), promotes the backup one detection delay
-// later, and the at-most-once / no-acked-loss / convergence invariants
-// must hold for every seed.
+// Seeded failover chaos -- the primary killed for good at a random point,
+// the backup promoted one detection delay later -- runs in the fault
+// harness's failover corpus (src/check/fuzz.h, tests/simcheck_test.cc).
 
-#include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "src/check/simcheck.h"
-#include "src/core/fault_plan.h"
 #include "src/core/toolkit.h"
-#include "src/tclite/value.h"
 
 namespace rover {
 namespace {
@@ -287,175 +279,6 @@ TEST(FailoverTest, SenderDegradesToAsyncWhenBackupStopsAcking) {
   simcheck.CheckQuiesced();
   EXPECT_TRUE(simcheck.ok()) << simcheck.Report() << simcheck.TraceTail(150);
 }
-
-// --- Part 2: seeded failover chaos -----------------------------------------
-
-// Seeds come from the environment when set (the CI failover-chaos job runs
-// the binary directly with an extended list); default is 1..24. Accepts
-// space/comma-separated values and "a-b" ranges, e.g. "1-48" or "3 7 9-12".
-std::vector<uint64_t> FailoverSeeds() {
-  std::vector<uint64_t> seeds;
-  if (const char* env = std::getenv("ROVER_FAILOVER_SEEDS")) {
-    uint64_t v = 0;
-    bool have = false;
-    uint64_t range_start = 0;
-    bool in_range = false;
-    for (const char* p = env;; ++p) {
-      const char c = *p;
-      if (c >= '0' && c <= '9') {
-        v = v * 10 + static_cast<uint64_t>(c - '0');
-        have = true;
-        continue;
-      }
-      if (have && c == '-') {
-        range_start = v;
-        in_range = true;
-        v = 0;
-        have = false;
-        continue;
-      }
-      if (have) {
-        if (in_range) {
-          for (uint64_t s = range_start; s <= v; ++s) seeds.push_back(s);
-        } else {
-          seeds.push_back(v);
-        }
-      }
-      v = 0;
-      have = false;
-      in_range = false;
-      if (c == '\0') break;
-    }
-  }
-  if (seeds.empty()) {
-    for (uint64_t s = 1; s <= 24; ++s) seeds.push_back(s);
-  }
-  return seeds;
-}
-
-// Prints the failing seed in a grep-friendly form even when an ASSERT
-// returns out of the test body early.
-struct ReproPrinter {
-  uint64_t seed;
-  ~ReproPrinter() {
-    if (::testing::Test::HasFailure()) {
-      std::fprintf(stderr, "FAILOVER_REPRO seed=%llu\n",
-                   static_cast<unsigned long long>(seed));
-    }
-  }
-};
-
-class FailoverChaosTest : public ::testing::TestWithParam<uint64_t> {};
-
-// One flapping, duplicating, reordering client link; a disk-like WAL with
-// real crash windows; and a primary that is killed for good at a seeded-
-// random instant -- mid-WAL-flush, mid-coalesce, mid-anything -- with the
-// backup promoted one detection delay later. Whatever the seed:
-//   1. every journal token appears at most once on the surviving server
-//      (at-most-once across replication, failover re-dispatch, and resends);
-//   2. only issued tokens appear;
-//   3. a call whose result resolved OK has its token present on the backup
-//      (semi-sync replication: no acknowledged work lost to the failover);
-//   4. the client's stable log and pending set drain to empty;
-//   5. a fresh uncached import converges the client to the backup's state;
-//   6. SimCheck's cross-layer audit (fencing, replicated-set coverage,
-//      promise hygiene, conservation) holds throughout.
-TEST_P(FailoverChaosTest, AckedWorkSurvivesPrimaryDeath) {
-  ReproPrinter repro{GetParam()};
-  Testbed::Options topts;
-  topts.server.stable_store.wal_costs = {Duration::Millis(5), 2e6,
-                                         /*group_commit=*/true};
-  topts.server.stable_store.compact_after_records = 8;
-  topts.server.rover.invalidation_ttl = Duration::Seconds(30);
-  Testbed bed(topts);
-  bed.loop()->set_event_limit(20'000'000);
-  check::SimCheck simcheck;
-  simcheck.Attach(&bed);
-  RoverServerNode* backup = bed.AddBackup("backup", LinkProfile::Ethernet10());
-  ASSERT_TRUE(bed.server()->rover()->CreateObject(
-      MakeRdo("journal", "lww", kJournalCode, "")).ok());
-
-  FaultPlan plan(bed.loop(), GetParam());
-  LinkProfile wave = LinkProfile::WaveLan2();
-  wave.duplicate_prob = 0.05;
-  wave.reorder_prob = 0.05;
-  RoverClientNode* client = bed.AddClient(
-      "mobile", wave,
-      plan.FlappyConnectivity(Duration::Seconds(8), Duration::Seconds(4),
-                              Duration::Seconds(60)),
-      FailoverClientOptions());
-  bed.AddLink("mobile", "backup", wave);
-
-  constexpr int kTokens = 12;
-  std::vector<Promise<InvokeResult>> results(kTokens);
-  for (int i = 0; i < kTokens; ++i) {
-    bed.loop()->ScheduleAt(
-        TimePoint::Epoch() + Duration::Seconds(1 + 3 * i), [&results, client, i] {
-          InvokeOptions io;
-          io.force_site = ExecutionSite::kServer;
-          results[i] = client->access()->Invoke("journal", "add",
-                                                {"tok" + std::to_string(i)}, io);
-        });
-  }
-
-  // Kill anywhere in [2s, 42s): past 2s the initial resync and the journal
-  // object's replicated create are safely on the backup, and the window
-  // still spans the whole workload.
-  FailoverOptions fopts;
-  fopts.at = TimePoint::Epoch() + Duration::Seconds(2) +
-             Duration::Micros(static_cast<int64_t>(plan.rng()->NextBelow(40'000'000)));
-  plan.ScheduleFailover(bed.server(), backup, {client}, fopts);
-  // After the link is permanently up (60s), one last restart re-sends every
-  // durable unanswered request -- now to the backup -- so the run drains.
-  plan.CrashClientAt(client, TimePoint::Epoch() + Duration::Seconds(61));
-
-  bed.Run();
-
-  EXPECT_EQ(plan.failovers_executed(), 1u);
-  EXPECT_TRUE(bed.server()->dead());
-  EXPECT_TRUE(client->qrpc()->failover_engaged());
-
-  ASSERT_TRUE(backup->store()->Get("journal").ok());
-  const std::string data = backup->store()->Get("journal")->data;
-  auto tokens = TclListSplit(data);
-  ASSERT_TRUE(tokens.ok());
-  std::set<std::string> unique(tokens->begin(), tokens->end());
-  EXPECT_EQ(unique.size(), tokens->size())
-      << "an add executed twice: [" << data << "]";
-  std::set<std::string> issued;
-  for (int i = 0; i < kTokens; ++i) {
-    issued.insert("tok" + std::to_string(i));
-  }
-  for (const std::string& tok : *tokens) {
-    EXPECT_EQ(issued.count(tok), 1u) << "unknown token " << tok;
-  }
-  for (int i = 0; i < kTokens; ++i) {
-    if (results[i].ready() && results[i].value().status.ok()) {
-      EXPECT_EQ(unique.count("tok" + std::to_string(i)), 1u)
-          << "acknowledged tok" << i << " lost across failover: [" << data << "]";
-    }
-  }
-  EXPECT_EQ(client->qrpc()->LogDepth(), 0u);
-  EXPECT_EQ(client->qrpc()->PendingCount(), 0u);
-
-  ImportOptions iopts;
-  iopts.allow_cached = false;
-  auto converge = client->access()->Import("journal", iopts);
-  ASSERT_TRUE(converge.Wait(bed.loop()));
-  ASSERT_TRUE(converge.value().status.ok());
-  EXPECT_EQ(*client->access()->ReadCommittedData("journal"), data);
-
-  // Wait() stops the loop the instant the promise resolves; a duplicated or
-  // retransmitted response frame can still be mid-flight. Drain before the
-  // quiescence check.
-  bed.Run();
-
-  simcheck.CheckQuiesced();
-  EXPECT_TRUE(simcheck.ok()) << simcheck.Report() << simcheck.TraceTail(150);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, FailoverChaosTest,
-                         ::testing::ValuesIn(FailoverSeeds()));
 
 }  // namespace
 }  // namespace rover

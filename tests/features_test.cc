@@ -308,7 +308,7 @@ TEST(CancelTest, RecoveryDoesNotResurrectCancelledCalls) {
   client->qrpc()->Cancel(drop.rpc_id);
 
   client->log()->SimulateCrash();
-  client->log()->Recover();
+  client->log()->RecoverWithReport();
   // Only the surviving request is re-driven.
   EXPECT_EQ(client->qrpc()->RecoverFromLog(), 1u);
 }

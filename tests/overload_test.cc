@@ -11,26 +11,18 @@
 // and server concurrency pushback with client-honored retry-after hints.
 // Part 5 covers the access manager's degraded mode and the cache-overflow
 // gauge.
-// Part 6 is the seeded overload chaos scenario: 2x sustained load over a
-// flapping lossy link against a concurrency-limited server, asserting the
-// client stays within its memory budgets, retries stay within the retry
-// budget, durable ops are never shed, and everything drains to convergence
-// once the pressure lifts. Extra seeds can be supplied via the
-// ROVER_OVERLOAD_SEEDS / ROVER_OVERLOAD_SEED_COUNT environment variables
-// (used by the CI chaos job, which runs the binary directly).
+// Seeded overload chaos -- 2x sustained load over a flapping lossy link
+// against a concurrency-limited server -- runs in the fault harness's
+// overload corpus (src/check/fuzz.h, tests/simcheck_test.cc).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <functional>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "src/check/simcheck.h"
-#include "src/core/fault_plan.h"
 #include "src/core/toolkit.h"
 #include "src/sim/network.h"
 #include "src/tclite/value.h"
@@ -596,199 +588,6 @@ TEST(CacheOverflowTest, UnevictableOverflowIsCountedAndGaugeClearsOnRelief) {
   // One overage episode, one event: the counter did not tick per byte.
   EXPECT_EQ(client->access()->stats().cache_overflow_events, 1u);
 }
-
-// --- Part 6: seeded overload chaos -----------------------------------------
-
-// Seeds come from the environment when set (the CI overload job runs the
-// binary directly with an extended list); default is a small fixed set.
-std::vector<uint64_t> OverloadSeeds() {
-  std::vector<uint64_t> seeds;
-  if (const char* env = std::getenv("ROVER_OVERLOAD_SEEDS")) {
-    uint64_t v = 0;
-    bool have = false;
-    for (const char* p = env;; ++p) {
-      if (*p >= '0' && *p <= '9') {
-        v = v * 10 + static_cast<uint64_t>(*p - '0');
-        have = true;
-      } else {
-        if (have) seeds.push_back(v);
-        v = 0;
-        have = false;
-        if (*p == '\0') break;
-      }
-    }
-  } else if (const char* env_n = std::getenv("ROVER_OVERLOAD_SEED_COUNT")) {
-    const long n = std::atol(env_n);
-    for (long s = 1; s <= n; ++s) seeds.push_back(static_cast<uint64_t>(s));
-  }
-  if (seeds.empty()) {
-    for (uint64_t s = 1; s <= 6; ++s) seeds.push_back(s);
-  }
-  return seeds;
-}
-
-class OverloadChaosTest : public ::testing::TestWithParam<uint64_t> {};
-
-// Sustained ~2x overload: 2 ops/s of durable foreground work plus periodic
-// background prefetch bursts, pushed over a flapping lossy WaveLAN link at a
-// concurrency-limited server that is also crash-restarted twice. Invariants:
-//   1. the client's stable log and scheduler queue stay within their byte
-//      budgets at every sampled instant (memory bounded under overload);
-//   2. loss retries stay within the token-bucket retry budget;
-//   3. durable (non-background) ops are never silently shed: each is either
-//      explicitly refused at Call() (and then never executes) or executes
-//      exactly once; every acknowledged op's token is present;
-//   4. once the pressure lifts the system drains: empty log, no pending
-//      calls, and a fresh import converges to the server's state.
-TEST_P(OverloadChaosTest, SustainedOverloadDegradesGracefullyAndDrains) {
-  Testbed::Options topts;
-  topts.server.qrpc.max_concurrent_requests = 2;
-  topts.server.qrpc.dispatch_cost = Duration::Millis(100);
-  topts.server.qrpc.pushback_retry_after = Duration::Millis(200);
-  Testbed bed(topts);
-  bed.loop()->set_event_limit(20'000'000);
-
-  check::SimCheck simcheck;
-  simcheck.Attach(&bed);
-  ASSERT_TRUE(bed.server()->rover()->CreateObject(
-      MakeRdo("journal", "lww", kJournalCode, "")).ok());
-  const std::string page_data(400, 'p');
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(bed.server()->rover()->CreateObject(
-        MakeRdo("page" + std::to_string(i), "lww", kJournalCode, page_data)).ok());
-  }
-
-  FaultPlan plan(bed.loop(), GetParam());
-  LinkProfile wave = LinkProfile::WaveLan2();
-  wave.loss_prob = 0.15;
-
-  ClientNodeOptions copts;
-  copts.scheduler.max_queued_messages = 16;
-  copts.scheduler.max_queued_bytes = 8 << 10;
-  copts.scheduler.retry_budget_capacity = 32;
-  copts.scheduler.retry_budget_refill_per_sec = 4;
-  copts.scheduler.breaker.failure_threshold = 4;
-  copts.scheduler.breaker.open_duration = Duration::Millis(500);
-  copts.qrpc.max_outstanding_calls = 24;
-  copts.qrpc.max_log_bytes = 6 << 10;
-  copts.access.degraded_queue_depth = 6;
-  RoverClientNode* client = bed.AddClient(
-      "mobile", wave,
-      plan.FlappyConnectivity(Duration::Seconds(6), Duration::Seconds(3),
-                              Duration::Seconds(40)),
-      copts);
-
-  // Offered load: one durable op every 500ms for 20s (~2x what the flapping
-  // lossy link sustains), plus a background prefetch burst every 2.5s.
-  constexpr int kTokens = 40;
-  std::vector<Promise<InvokeResult>> results(kTokens);
-  for (int i = 0; i < kTokens; ++i) {
-    bed.loop()->ScheduleAt(At(1.0 + 0.5 * i), [&results, client, i] {
-      InvokeOptions io;
-      io.force_site = ExecutionSite::kServer;
-      results[i] = client->access()->Invoke("journal", "add",
-                                            {"tok" + std::to_string(i)}, io);
-    });
-  }
-  for (int burst = 0; burst < 8; ++burst) {
-    bed.loop()->ScheduleAt(At(2.0 + 2.5 * burst), [client, burst] {
-      client->access()->Prefetch({"page" + std::to_string((burst * 3) % 6),
-                                  "page" + std::to_string((burst * 3 + 1) % 6),
-                                  "page" + std::to_string((burst * 3 + 2) % 6)});
-    });
-  }
-
-  // Server flaps too: two crash-restarts during the loaded window.
-  RandomFaultOptions fopts;
-  fopts.horizon = Duration::Seconds(30);
-  fopts.server_crashes = 2;
-  fopts.client_crashes = 0;
-  plan.ScheduleRandomFaults(bed.server(), {}, fopts);
-  // One final client restart after the pressure lifts resends every durable
-  // unanswered request (responses lost to server crashes have no other
-  // resend trigger), so the run always quiesces with an empty log.
-  plan.CrashClientAt(client, At(70));
-
-  // Sample the client's memory every 250ms through the loaded window.
-  size_t max_log_bytes = 0, max_queued_bytes = 0;
-  auto sampler = std::make_shared<std::function<void()>>();
-  *sampler = [&, sampler] {
-    max_log_bytes = std::max(max_log_bytes, client->log()->TotalBytes());
-    max_queued_bytes = std::max(
-        max_queued_bytes, client->transport()->scheduler()->QueuedPayloadBytes());
-    if (bed.loop()->now() < At(69)) {
-      bed.loop()->ScheduleAfter(Duration::Millis(250), *sampler);
-    }
-  };
-  bed.loop()->ScheduleAt(At(1), *sampler);
-
-  bed.Run();
-
-  // 1. Memory stayed within budget at every sample.
-  EXPECT_LE(max_log_bytes, copts.qrpc.max_log_bytes);
-  EXPECT_LE(max_queued_bytes, copts.scheduler.max_queued_bytes);
-
-  // 2. Loss retries stayed within the token budget: burst capacity plus the
-  // refill over the whole run, with slack for link-down requeues (counted
-  // as retries but exempt from the budget -- reconnection, not loss).
-  const double elapsed = (bed.loop()->now() - TimePoint::Epoch()).seconds();
-  const SchedulerStats sched = client->transport()->scheduler()->stats();
-  EXPECT_LE(sched.retries,
-            copts.scheduler.retry_budget_capacity +
-                copts.scheduler.retry_budget_refill_per_sec * elapsed + 40);
-
-  // 3. At-most-once and no silent shedding of durable work.
-  const std::string server_data = bed.server()->store()->Get("journal")->data;
-  auto tokens = TclListSplit(server_data);
-  ASSERT_TRUE(tokens.ok());
-  std::set<std::string> present(tokens->begin(), tokens->end());
-  EXPECT_EQ(present.size(), tokens->size())
-      << "an add executed twice: [" << server_data << "]";
-  for (int i = 0; i < kTokens; ++i) {
-    const std::string tok = "tok" + std::to_string(i);
-    if (!results[i].ready()) {
-      continue;  // promise died with the client crash; covered by at-most-once
-    }
-    const Status& st = results[i].value().status;
-    if (st.ok()) {
-      EXPECT_EQ(present.count(tok), 1u)
-          << "acknowledged " << tok << " lost: [" << server_data << "]";
-    } else if (st.code() == StatusCode::kResourceExhausted) {
-      // Explicit admission refusal: refused before logging, never executed,
-      // and never the silent-shed message reserved for background work.
-      EXPECT_EQ(st.message().find("shed"), std::string::npos)
-          << "durable op shed: " << st.message();
-      EXPECT_EQ(present.count(tok), 0u)
-          << "refused " << tok << " executed anyway";
-    }
-  }
-
-  // The scenario actually generated overload pressure.
-  const QrpcClientStats qstats = client->qrpc()->stats();
-  const AccessManagerStats astats = client->access()->stats();
-  EXPECT_GT(sched.messages_shed + sched.enqueue_rejected +
-                qstats.admission_rejected + qstats.background_shed +
-                astats.prefetches_shed + astats.degraded_entered +
-                bed.server()->qrpc()->stats().requests_rejected,
-            0u);
-
-  // 4. Drained and convergent after the pressure lifted.
-  EXPECT_EQ(client->qrpc()->LogDepth(), 0u);
-  EXPECT_EQ(client->qrpc()->PendingCount(), 0u);
-  EXPECT_FALSE(client->access()->Degraded());
-  ImportOptions iopts;
-  iopts.allow_cached = false;
-  auto converge = client->access()->Import("journal", iopts);
-  ASSERT_TRUE(converge.Wait(bed.loop()));
-  ASSERT_TRUE(converge.value().status.ok());
-  EXPECT_EQ(*client->access()->ReadCommittedData("journal"), server_data);
-
-  simcheck.CheckQuiesced();
-  EXPECT_TRUE(simcheck.ok()) << simcheck.Report() << simcheck.TraceTail(150);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, OverloadChaosTest,
-                         ::testing::ValuesIn(OverloadSeeds()));
 
 }  // namespace
 }  // namespace rover

@@ -108,7 +108,7 @@ TEST_F(StableLogTest, AppendFlushTruncate) {
   const uint64_t id2 = log.Append(Bytes{2});
   EXPECT_FALSE(log.FullyDurable());
   bool flushed = false;
-  log.Flush([&] { flushed = true; });
+  log.Flush([&](const Status&) { flushed = true; });
   loop_.Run();
   EXPECT_TRUE(flushed);
   EXPECT_TRUE(log.FullyDurable());
@@ -126,7 +126,7 @@ TEST_F(StableLogTest, FlushCostModelCharged) {
   StableLog paid(&loop_, model);
   paid.Append(Bytes(10000, 1));
   TimePoint done;
-  paid.Flush([&] { done = loop_.now(); });
+  paid.Flush([&](const Status&) { done = loop_.now(); });
   loop_.Run();
   // 10ms base + ~10KB/1MBps = ~10ms.
   EXPECT_NEAR(done.seconds(), 0.020, 0.001);
@@ -139,7 +139,7 @@ TEST_F(StableLogTest, CrashDropsVolatileRecords) {
   loop_.Run();
   log.Append(Bytes{2});  // never flushed
   log.SimulateCrash();
-  EXPECT_EQ(log.Recover(), 1u);
+  EXPECT_EQ(log.RecoverWithReport().valid, 1u);
   ASSERT_EQ(log.DurableRecords().size(), 1u);
   EXPECT_EQ(log.DurableRecords()[0].data, Bytes{1});
 }
@@ -151,7 +151,7 @@ TEST_F(StableLogTest, TornWriteDetectedByCrc) {
   log.Flush(nullptr);
   loop_.Run();
   log.SimulateCrash(/*tear_last_record=*/true);
-  EXPECT_EQ(log.Recover(), 1u);  // torn record dropped
+  EXPECT_EQ(log.RecoverWithReport().valid, 1u);  // torn record dropped
   EXPECT_EQ(log.DurableRecords()[0].data, (Bytes{1, 2, 3}));
 }
 
@@ -161,9 +161,9 @@ TEST_F(StableLogTest, SerialFlushesQueue) {
   StableLog log(&loop_, model);
   std::vector<double> completions;
   log.Append(Bytes(100, 1));
-  log.Flush([&] { completions.push_back(loop_.now().seconds()); });
+  log.Flush([&](const Status&) { completions.push_back(loop_.now().seconds()); });
   log.Append(Bytes(100, 2));
-  log.Flush([&] { completions.push_back(loop_.now().seconds()); });
+  log.Flush([&](const Status&) { completions.push_back(loop_.now().seconds()); });
   loop_.Run();
   ASSERT_EQ(completions.size(), 2u);
   EXPECT_GT(completions[1], completions[0]);
@@ -317,7 +317,7 @@ TEST_F(QrpcTest, CrashRecoveryResendsUnansweredRequests) {
 
   // Crash the client host: rebuild transport + engine over the recovered log.
   log_->SimulateCrash();
-  ASSERT_EQ(log_->Recover(), 2u);
+  ASSERT_EQ(log_->RecoverWithReport().valid, 2u);
   client_tm_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"));
   client_ = std::make_unique<QrpcClient>(&loop_, client_tm_.get(), log_.get());
   EXPECT_EQ(client_->RecoverFromLog(), 2u);
@@ -339,7 +339,7 @@ TEST_F(QrpcTest, RecoveryAfterPartialResponsesOnlyResendsUnanswered) {
   QrpcCall pending = client_->Call("server", "count", {});
   ASSERT_TRUE(pending.committed.Wait(&loop_));
   log_->SimulateCrash();
-  log_->Recover();
+  log_->RecoverWithReport();
   client_tm_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"));
   client_ = std::make_unique<QrpcClient>(&loop_, client_tm_.get(), log_.get());
   const size_t resent = client_->RecoverFromLog();
@@ -506,7 +506,7 @@ TEST(StableLogGroupCommitTest, BurstCoalescesIntoFewWrites) {
   int completed = 0;
   for (int i = 0; i < 16; ++i) {
     log.Append(Bytes(64, static_cast<uint8_t>(i)));
-    log.Flush([&] { ++completed; });
+    log.Flush([&](const Status&) { ++completed; });
   }
   loop.Run();
   EXPECT_EQ(completed, 16);
@@ -524,7 +524,7 @@ TEST(StableLogGroupCommitTest, RecordsAppendedDuringWriteJoinNextWrite) {
 
   log.Append(Bytes{1});
   bool first_done = false;
-  log.Flush([&] { first_done = true; });
+  log.Flush([&](const Status&) { first_done = true; });
   // While the first write is in flight, append + flush another record.
   loop.ScheduleAfter(Duration::Millis(5), [&] {
     log.Append(Bytes{2});
@@ -653,7 +653,7 @@ TEST_F(QrpcTest, CoalescingSurvivesCrashRecovery) {
   EXPECT_EQ(log_->RecordCount(), 1u);
 
   log_->SimulateCrash();
-  ASSERT_EQ(log_->Recover(), 1u);
+  ASSERT_EQ(log_->RecoverWithReport().valid, 1u);
   client_tm_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"));
   client_ = std::make_unique<QrpcClient>(&loop_, client_tm_.get(), log_.get());
   EXPECT_EQ(client_->RecoverFromLog(), 1u);
@@ -686,7 +686,7 @@ TEST_F(QrpcTest, CrashBetweenCoalesceAndSuccessorFlushResendsPredecessor) {
   // so it is lost with the volatile tail -- the predecessor's durable
   // record must be what survives.
   log_->SimulateCrash();
-  ASSERT_EQ(log_->Recover(), 1u);
+  ASSERT_EQ(log_->RecoverWithReport().valid, 1u);
   client_tm_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"));
   client_ = std::make_unique<QrpcClient>(&loop_, client_tm_.get(), log_.get());
   EXPECT_EQ(client_->RecoverFromLog(), 1u);
@@ -718,7 +718,7 @@ TEST(StableLogCompressionTest, CompressedRecordsRoundTripAndRecover) {
   // Crash + recover: the CRC covers the stored (compressed) form, and the
   // payload still decompresses to the original.
   log.SimulateCrash();
-  ASSERT_EQ(log.Recover(), 1u);
+  ASSERT_EQ(log.RecoverWithReport().valid, 1u);
   std::vector<StableLog::Record> recovered = log.DurableRecords();
   ASSERT_EQ(recovered.size(), 1u);
   EXPECT_EQ(*log.RecordPayload(recovered[0]), payload);
@@ -840,7 +840,7 @@ TEST_F(QrpcTest, ResolutionMatrixEveryPathResolvesExactlyOnce) {
   // only those -- are re-issued by the next incarnation; the withdrawn
   // deadline/cancel/shed records must not resurrect.
   log_->SimulateCrash();
-  ASSERT_EQ(log_->Recover(), 4u);
+  ASSERT_EQ(log_->RecoverWithReport().valid, 4u);
   client_tm_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"));
   client_ = std::make_unique<QrpcClient>(&loop_, client_tm_.get(), log_.get(), copts);
   EXPECT_EQ(client_->RecoverFromLog(), 4u);

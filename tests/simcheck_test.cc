@@ -1,18 +1,21 @@
 // SimCheck tests.
 //
-// Part 1 runs the seeded interleaving fuzzer over the default corpus: every
-// seed's schedule must leave zero invariant violations.
+// Part 1 runs the four fault-harness corpora (schedule, disk, failover,
+// overload): every seed's plan must leave zero SimCheck or harness-level
+// violations. A failing seed prints its shrunk one-line repro.
 // Part 2 is the checker meta-test: with the known PR-4 coalescing bug
 // deliberately re-introduced (eager predecessor-record withdrawal), the
 // fuzzer must catch it, the shrinker must reduce the schedule, and the
 // one-line repro must round-trip and still discriminate buggy from fixed.
-// Part 3 covers the repro-line format itself.
+// Part 3 covers the repro-line format, seed specs and the driver's command
+// line.
 // Part 4 holds a named deterministic regression test for each latent bug
 // the checker flushed out of the toolkit:
 //   * compaction racing a pending response transaction (double-apply),
 //   * duplicate replay from a not-yet-journaled response (acked loss),
 //   * crash-recovered calls shed under queue pressure (silent durable loss).
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -52,17 +55,50 @@ bool StepUntil(EventLoop* loop, TimePoint deadline, Pred pred) {
   return pred();
 }
 
-// --- Part 1: fuzz corpus ---------------------------------------------------
+// --- Part 1: fault-harness corpora -----------------------------------------
 
-class SimCheckFuzzTest : public testing::TestWithParam<uint64_t> {};
-
-TEST_P(SimCheckFuzzTest, SeededScheduleHoldsAllInvariants) {
-  FuzzPlan plan = MakePlan(GetParam());
+// Runs one seed of `corpus`; on failure, reports the shrunk repro line that
+// `fuzz_simcheck --repro` replays.
+void ExpectSeedClean(const Corpus& corpus, uint64_t seed) {
+  FuzzPlan plan = MakePlan(seed, corpus);
   FuzzOutcome outcome = RunPlan(plan);
-  EXPECT_TRUE(outcome.ok) << FormatRepro(plan) << "\n" << outcome.report;
+  if (!outcome.ok) {
+    ADD_FAILURE() << FormatRepro(ShrinkPlan(plan)) << "\n" << outcome.report;
+  }
 }
 
+// Each suite keeps the name of the harness its corpus absorbed, so the
+// test names stay stable.
+class SimCheckFuzzTest : public testing::TestWithParam<uint64_t> {};
+TEST_P(SimCheckFuzzTest, SeededScheduleHoldsAllInvariants) {
+  ExpectSeedClean(kScheduleCorpus, GetParam());
+}
 INSTANTIATE_TEST_SUITE_P(Corpus, SimCheckFuzzTest, testing::Range<uint64_t>(1, 25));
+
+// Schedule seeds 25..52, continuing SimCheckFuzzTest's 1..24.
+class ChaosTest : public testing::TestWithParam<uint64_t> {};
+TEST_P(ChaosTest, InvariantsHoldUnderRandomFaults) {
+  ExpectSeedClean(kScheduleCorpus, 24 + GetParam());
+}
+INSTANTIATE_TEST_SUITE_P(Seeds, ChaosTest, testing::Range<uint64_t>(1, 29));
+
+class StorageChaosTest : public testing::TestWithParam<uint64_t> {};
+TEST_P(StorageChaosTest, InvariantsHoldUnderDiskFaultsCrashesAndFlaps) {
+  ExpectSeedClean(kDiskCorpus, GetParam());
+}
+INSTANTIATE_TEST_SUITE_P(Seeds, StorageChaosTest, testing::Range<uint64_t>(1, 9));
+
+class FailoverChaosTest : public testing::TestWithParam<uint64_t> {};
+TEST_P(FailoverChaosTest, AckedWorkSurvivesPrimaryDeath) {
+  ExpectSeedClean(kFailoverCorpus, GetParam());
+}
+INSTANTIATE_TEST_SUITE_P(Seeds, FailoverChaosTest, testing::Range<uint64_t>(1, 25));
+
+class OverloadChaosTest : public testing::TestWithParam<uint64_t> {};
+TEST_P(OverloadChaosTest, SustainedOverloadDegradesGracefullyAndDrains) {
+  ExpectSeedClean(kOverloadCorpus, GetParam());
+}
+INSTANTIATE_TEST_SUITE_P(Seeds, OverloadChaosTest, testing::Range<uint64_t>(1, 7));
 
 // --- Part 2: checker meta-test ---------------------------------------------
 
@@ -126,7 +162,33 @@ TEST(SimCheckReproTest, RoundTripsEveryActionKind) {
   EXPECT_EQ(plan->actions[4].kind, FuzzActionKind::kCorruptImage);
   EXPECT_EQ(plan->actions[5].kind, FuzzActionKind::kBurst);
   EXPECT_EQ(plan->actions[5].at_ms, 600u);
-  EXPECT_EQ(FormatRepro(*plan), line);
+  // An omitted corpus= means schedule, and formatting names it.
+  EXPECT_EQ(plan->corpus, &kScheduleCorpus);
+  const std::string canonical =
+      "SIMCHECK_REPRO corpus=schedule" + line.substr(std::string("SIMCHECK_REPRO").size());
+  EXPECT_EQ(FormatRepro(*plan), canonical);
+  auto reparsed = ParseRepro(canonical);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().message();
+  EXPECT_EQ(FormatRepro(*reparsed), canonical);
+
+  // Deployment-specific kinds round-trip in the corpora that deploy them.
+  const std::string failover = "SIMCHECK_REPRO corpus=failover seed=9 plan=failover@2500";
+  auto fplan = ParseRepro(failover);
+  ASSERT_TRUE(fplan.ok()) << fplan.status().message();
+  EXPECT_EQ(fplan->corpus, &kFailoverCorpus);
+  ASSERT_EQ(fplan->actions.size(), 1u);
+  EXPECT_EQ(fplan->actions[0].kind, FuzzActionKind::kFailover);
+  EXPECT_EQ(fplan->actions[0].at_ms, 2500u);
+  EXPECT_EQ(FormatRepro(*fplan), failover);
+
+  const std::string overload =
+      "SIMCHECK_REPRO corpus=overload seed=4 plan=prefetch@1200,server-crash-tear@9000";
+  auto oplan = ParseRepro(overload);
+  ASSERT_TRUE(oplan.ok()) << oplan.status().message();
+  EXPECT_EQ(oplan->corpus, &kOverloadCorpus);
+  ASSERT_EQ(oplan->actions.size(), 2u);
+  EXPECT_EQ(oplan->actions[0].kind, FuzzActionKind::kPrefetch);
+  EXPECT_EQ(FormatRepro(*oplan), overload);
 }
 
 TEST(SimCheckReproTest, RejectsMalformedLines) {
@@ -138,6 +200,112 @@ TEST(SimCheckReproTest, RejectsMalformedLines) {
   EXPECT_FALSE(ParseRepro("SIMCHECK_REPRO seed=5 plan=burst").ok());
   EXPECT_FALSE(ParseRepro("SIMCHECK_REPRO seed=5 plan=burst@").ok());
   EXPECT_FALSE(ParseRepro("SIMCHECK_REPRO seed=5 plan=warp@100").ok());
+  EXPECT_FALSE(ParseRepro("SIMCHECK_REPRO corpus=storm seed=5 plan=burst@100").ok());
+  EXPECT_FALSE(ParseRepro("SIMCHECK_REPRO seed=5 plan=burst@100 extra").ok());
+  // A kind the corpus's deployment cannot run.
+  EXPECT_FALSE(ParseRepro("SIMCHECK_REPRO seed=5 plan=failover@100").ok());
+  EXPECT_FALSE(ParseRepro("SIMCHECK_REPRO corpus=disk seed=5 plan=prefetch@100").ok());
+}
+
+// Every corpus's failure output is a line ParseRepro reads back to the same
+// plan, so `fuzz_simcheck --repro` replays exactly what failed.
+TEST(SimCheckReproTest, EveryCorpusPlanRoundTrips) {
+  for (const Corpus* corpus :
+       {&kScheduleCorpus, &kDiskCorpus, &kFailoverCorpus, &kOverloadCorpus}) {
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+      const FuzzPlan plan = MakePlan(seed, *corpus);
+      auto parsed = ParseRepro(FormatRepro(plan));
+      ASSERT_TRUE(parsed.ok()) << FormatRepro(plan) << ": " << parsed.status().message();
+      EXPECT_EQ(parsed->corpus, corpus);
+      EXPECT_EQ(FormatRepro(*parsed), FormatRepro(plan));
+    }
+  }
+}
+
+// Each corpus draws the kinds its record names, and only those; every plan
+// carries its corpus's defining fault.
+TEST(SimCheckReproTest, CorporaDrawTheirOwnKinds) {
+  for (const Corpus* corpus :
+       {&kScheduleCorpus, &kDiskCorpus, &kFailoverCorpus, &kOverloadCorpus}) {
+    for (uint64_t seed = 1; seed <= 48; ++seed) {
+      size_t failovers = 0, prefetches = 0, disk_faults = 0;
+      for (const FuzzAction& a : MakePlan(seed, *corpus).actions) {
+        EXPECT_TRUE(corpus->Draws(a.kind)) << corpus->name << " seed " << seed;
+        EXPECT_FALSE(a.kind == FuzzActionKind::kDiskRot && a.target == 2)
+            << "server bit rot drawn in " << corpus->name << " seed " << seed;
+        failovers += a.kind == FuzzActionKind::kFailover;
+        prefetches += a.kind == FuzzActionKind::kPrefetch;
+        disk_faults += a.kind >= FuzzActionKind::kDiskTransient &&
+                       a.kind <= FuzzActionKind::kDiskSyncFail;
+      }
+      EXPECT_EQ(failovers, corpus->backup ? 1u : 0u) << corpus->name << " seed " << seed;
+      EXPECT_EQ(prefetches > 0, corpus == &kOverloadCorpus)
+          << corpus->name << " seed " << seed;
+      EXPECT_EQ(disk_faults > 0, corpus == &kDiskCorpus)
+          << corpus->name << " seed " << seed;
+    }
+  }
+}
+
+TEST(SimCheckSeedSpecTest, RangesListsAndMixes) {
+  auto range = ParseSeedSpec("1-4");
+  ASSERT_TRUE(range.ok()) << range.status().message();
+  EXPECT_EQ(*range, (std::vector<uint64_t>{1, 2, 3, 4}));  // not just 1 and 4
+  auto mix = ParseSeedSpec("7,2-3,9");
+  ASSERT_TRUE(mix.ok()) << mix.status().message();
+  EXPECT_EQ(*mix, (std::vector<uint64_t>{7, 2, 3, 9}));
+}
+
+TEST(SimCheckSeedSpecTest, RejectsReversedMalformedAndEmptySpecs) {
+  EXPECT_FALSE(ParseSeedSpec("9-3").ok());  // reversed, not the default corpus
+  EXPECT_FALSE(ParseSeedSpec("3-x").ok());
+  EXPECT_FALSE(ParseSeedSpec("x").ok());
+  EXPECT_FALSE(ParseSeedSpec("1-").ok());
+  EXPECT_FALSE(ParseSeedSpec("-4").ok());
+  EXPECT_FALSE(ParseSeedSpec("1 4").ok());
+  EXPECT_FALSE(ParseSeedSpec("").ok());
+  EXPECT_FALSE(ParseSeedSpec(",").ok());
+  EXPECT_FALSE(ParseSeedSpec("1,,2").ok());
+  EXPECT_FALSE(ParseSeedSpec("1,").ok());
+  EXPECT_FALSE(ParseSeedSpec("1-99999999999").ok());  // unbounded range
+}
+
+TEST(SimCheckCommandTest, FlagsInAnyOrder) {
+  auto a = ParseFuzzCommand({"--corpus", "disk", "1-4"});
+  auto b = ParseFuzzCommand({"1-4", "--corpus", "disk"});
+  ASSERT_TRUE(a.ok()) << a.status().message();
+  ASSERT_TRUE(b.ok()) << b.status().message();
+  EXPECT_EQ(a->corpus, &kDiskCorpus);
+  EXPECT_EQ(b->corpus, &kDiskCorpus);
+  EXPECT_EQ(a->seeds, (std::vector<uint64_t>{1, 2, 3, 4}));
+  EXPECT_EQ(b->seeds, a->seeds);
+  EXPECT_TRUE(a->repro.empty());
+
+  auto defaults = ParseFuzzCommand({});
+  ASSERT_TRUE(defaults.ok());
+  EXPECT_EQ(defaults->corpus, &kScheduleCorpus);
+  EXPECT_EQ(defaults->seeds.size(), 24u);
+
+  const std::string line = "SIMCHECK_REPRO corpus=disk seed=3 plan=client1-disk-err@100";
+  auto replay = ParseFuzzCommand({"--eager-bug", "--repro", line});
+  ASSERT_TRUE(replay.ok()) << replay.status().message();
+  EXPECT_EQ(replay->repro, line);
+  EXPECT_TRUE(replay->run.eager_coalesce_bug);
+}
+
+TEST(SimCheckCommandTest, RejectsBadSpecsFlagsAndMixedRepro) {
+  EXPECT_FALSE(ParseFuzzCommand({"9-3"}).ok());
+  EXPECT_FALSE(ParseFuzzCommand({"3-x"}).ok());
+  EXPECT_FALSE(ParseFuzzCommand({""}).ok());
+  EXPECT_FALSE(ParseFuzzCommand({"--corpus"}).ok());
+  EXPECT_FALSE(ParseFuzzCommand({"--corpus", "storm", "1"}).ok());
+  EXPECT_FALSE(ParseFuzzCommand({"--repro"}).ok());
+  EXPECT_FALSE(ParseFuzzCommand({"--repro", ""}).ok());
+  // An unknown flag is an error, never a seed spec.
+  const std::string line = "SIMCHECK_REPRO seed=3 plan=burst@100";
+  EXPECT_FALSE(ParseFuzzCommand({"--disk-faults", "--repro", line}).ok());
+  EXPECT_FALSE(ParseFuzzCommand({"--corpus", "disk", "--repro", line}).ok());
+  EXPECT_FALSE(ParseFuzzCommand({"--repro", line, "7"}).ok());
 }
 
 // --- Part 4: regression tests for the latent-bug batch ---------------------

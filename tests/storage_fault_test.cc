@@ -12,9 +12,9 @@
 // Part 3 covers the server WAL: ENOSPC degradation + forced-compaction
 // reclaim, fail-stop on a terminally failed response-journal flush, and
 // interior rot quarantined at recovery and scrub.
-// Part 4 is seeded chaos: random disk faults layered over crash-restarts
-// and link flaps, with SimCheck attached.
-// Part 5 is the checker meta-test: the re-introduced ack-after-failed-flush
+// Seeded disk-fault chaos runs in the fault harness's disk corpus
+// (src/check/fuzz.h, tests/simcheck_test.cc).
+// Part 4 is the checker meta-test: the re-introduced ack-after-failed-flush
 // bug must be caught by the fuzzer and shrunk to its disk-fault kernel.
 
 #include <memory>
@@ -24,8 +24,6 @@
 
 #include "gtest/gtest.h"
 #include "src/check/fuzz.h"
-#include "src/check/simcheck.h"
-#include "src/core/fault_plan.h"
 #include "src/core/toolkit.h"
 #include "src/qrpc/stable_log.h"
 #include "src/sim/connectivity.h"
@@ -576,122 +574,7 @@ TEST(StorageFaultClientTest, PeriodicScrubFailsRottedCallWithoutCrash) {
   EXPECT_EQ(m->qrpc()->LogDepth(), 0u);
 }
 
-// --- Part 4: seeded chaos with disk faults ----------------------------------
-
-// Random storage faults (write-error bursts, bounded disk-full episodes,
-// client bit rot) layered over crash-restarts and link flaps. Whatever the
-// seed: at-most-once execution, no phantom tokens, acknowledged work
-// durable, logs drained, convergence -- with SimCheck attached throughout.
-// (Server bit rot is exercised deterministically in Part 3: a quarantined
-// WAL record is *detected* loss, which this harness's acked-loss check
-// cannot tell apart from silent loss.)
-class StorageChaosTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(StorageChaosTest, InvariantsHoldUnderDiskFaultsCrashesAndFlaps) {
-  Testbed::Options topts;
-  topts.server.stable_store.wal_costs = {Duration::Millis(5), 2e6,
-                                         /*group_commit=*/true};
-  topts.server.stable_store.compact_after_records = 8;
-  Testbed bed(topts);
-  bed.loop()->set_event_limit(20'000'000);
-
-  check::SimCheck simcheck;
-  simcheck.Attach(&bed);
-  ASSERT_TRUE(bed.server()->rover()->CreateObject(
-      MakeRdo("journal", "lww", kJournalCode, "")).ok());
-
-  FaultPlan plan(bed.loop(), GetParam());
-  LinkProfile wave = LinkProfile::WaveLan2();
-  wave.duplicate_prob = 0.05;
-  RoverClientNode* client = bed.AddClient(
-      "mobile", wave,
-      plan.FlappyConnectivity(Duration::Seconds(8), Duration::Seconds(4),
-                              Duration::Seconds(60)));
-
-  constexpr int kTokens = 10;
-  std::vector<Promise<InvokeResult>> results(kTokens);
-  for (int i = 0; i < kTokens; ++i) {
-    bed.loop()->ScheduleAt(At(2 + 4 * i), [&results, client, i] {
-      InvokeOptions io;
-      io.force_site = ExecutionSite::kServer;
-      results[i] = client->access()->Invoke("journal", "add",
-                                            {"tok" + std::to_string(i)}, io);
-    });
-  }
-
-  RandomFaultOptions fopts;
-  fopts.horizon = Duration::Seconds(45);
-  fopts.server_crashes = 1;
-  fopts.client_crashes = 1;
-  fopts.tear_probability = 0.5;
-  plan.ScheduleRandomFaults(bed.server(), {client}, fopts);
-
-  DiskFaultScheduleOptions dopts;
-  dopts.horizon = Duration::Seconds(45);
-  dopts.transient_bursts = 2;
-  dopts.disk_full_episodes = 1;
-  dopts.bitrot_injections = 1;
-  plan.ScheduleRandomDiskFaults(/*server=*/nullptr, {client}, dopts);
-  DiskFaultScheduleOptions server_dopts = dopts;
-  server_dopts.bitrot_injections = 0;  // see class comment
-  plan.ScheduleRandomDiskFaults(bed.server(), {}, server_dopts);
-
-  // The fault window closes at 60s: heal every device (mirrors the fuzzer's
-  // safety net -- an unconsumed error burst would otherwise fail the final
-  // convergence import as a scheduling artifact), then one last client
-  // restart resends every durable unanswered request.
-  bed.loop()->ScheduleAt(At(60), [&] {
-    client->log()->device()->Repair();
-    client->log()->device()->SetCapacityBytes(0);
-    bed.server()->stable_store()->wal()->device()->Repair();
-    bed.server()->stable_store()->wal()->device()->SetCapacityBytes(0);
-  });
-  plan.CrashClientAt(client, At(61));
-  bed.Run();
-
-  EXPECT_GT(plan.disk_faults_injected(), 0u);
-  const std::string server_data = bed.server()->store()->Get("journal")->data;
-  auto tokens = TclListSplit(server_data);
-  ASSERT_TRUE(tokens.ok());
-  std::set<std::string> unique(tokens->begin(), tokens->end());
-  EXPECT_EQ(unique.size(), tokens->size())
-      << "an add executed twice: [" << server_data << "]";
-  std::set<std::string> issued;
-  for (int i = 0; i < kTokens; ++i) {
-    issued.insert("tok" + std::to_string(i));
-  }
-  for (const std::string& tok : *tokens) {
-    EXPECT_EQ(issued.count(tok), 1u) << "unknown token " << tok;
-  }
-  for (int i = 0; i < kTokens; ++i) {
-    if (results[i].ready() && results[i].value().status.ok()) {
-      EXPECT_EQ(unique.count("tok" + std::to_string(i)), 1u)
-          << "acknowledged tok" << i << " lost: [" << server_data << "]";
-    }
-  }
-  EXPECT_EQ(client->qrpc()->LogDepth(), 0u);
-  EXPECT_EQ(client->qrpc()->PendingCount(), 0u);
-  // Every epoch bump is one recovery: planned crashes plus storage
-  // fail-stops (terminal journal-flush failures force a crash-restart).
-  EXPECT_EQ(bed.server()->stable_store()->epoch(),
-            1 + plan.server_crashes_executed() +
-                bed.server()->storage_fail_stops());
-
-  ImportOptions iopts;
-  iopts.allow_cached = false;
-  auto converge = client->access()->Import("journal", iopts);
-  ASSERT_TRUE(converge.Wait(bed.loop()));
-  ASSERT_TRUE(converge.value().status.ok());
-  EXPECT_EQ(*client->access()->ReadCommittedData("journal"), server_data);
-
-  simcheck.CheckQuiesced();
-  EXPECT_TRUE(simcheck.ok()) << simcheck.Report() << simcheck.TraceTail(150);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, StorageChaosTest,
-                         ::testing::Range(uint64_t{1}, uint64_t{9}));
-
-// --- Part 5: checker meta-test ----------------------------------------------
+// --- Part 4: checker meta-test ----------------------------------------------
 
 // Re-introduce the ack-after-failed-flush bug (durability acknowledged for a
 // record whose flush terminally failed) and demonstrate the full loop: the
@@ -738,7 +621,7 @@ TEST(StorageFaultMetaTest, AckAfterFailedFlushBugCaughtAndShrunk) {
 // Disk-fault action tokens round-trip through the repro grammar.
 TEST(StorageFaultReproTest, DiskFaultTokensRoundTrip) {
   const std::string line =
-      "SIMCHECK_REPRO seed=3 "
+      "SIMCHECK_REPRO corpus=disk seed=3 "
       "plan=client1-disk-err@100,client2-disk-full@200,client2-disk-free@300,"
       "client1-disk-rot@400,server-disk-err@500,server-disk-full@600,"
       "server-disk-free@700,server-disk-syncfail@800";
