@@ -8,6 +8,37 @@
 #include "src/util/logging.h"
 
 namespace rover {
+namespace {
+
+const obs::Schema<AccessManagerStats> kMetrics(
+    "access_manager",
+    {{"cache_hits", &AccessManagerStats::cache_hits},
+     {"cache_misses", &AccessManagerStats::cache_misses},
+     {"imports_completed", &AccessManagerStats::imports_completed},
+     {"exports_completed", &AccessManagerStats::exports_completed},
+     {"local_invokes", &AccessManagerStats::local_invokes},
+     {"remote_invokes", &AccessManagerStats::remote_invokes},
+     {"evictions", &AccessManagerStats::evictions},
+     {"invalidations_received", &AccessManagerStats::invalidations_received},
+     {"polls_sent", &AccessManagerStats::polls_sent},
+     {"poll_staleness_detected", &AccessManagerStats::poll_staleness_detected},
+     {"conflicts_resolved", &AccessManagerStats::conflicts_resolved},
+     {"conflicts_unresolved", &AccessManagerStats::conflicts_unresolved},
+     {"prefetch_issued", &AccessManagerStats::prefetch_issued},
+     {"server_restarts_observed", &AccessManagerStats::server_restarts_observed},
+     {"prefetches_shed", &AccessManagerStats::prefetches_shed},
+     {"degraded_entered", &AccessManagerStats::degraded_entered},
+     {"cache_overflow_events", &AccessManagerStats::cache_overflow_events},
+     {"delta_hits", &AccessManagerStats::delta_hits},
+     {"delta_full", &AccessManagerStats::delta_full},
+     {"delta_not_modified", &AccessManagerStats::delta_not_modified},
+     {"delta_fallbacks", &AccessManagerStats::delta_fallbacks},
+     {"delta_bytes_saved", &AccessManagerStats::delta_bytes_saved},
+     {"storage_stale_marks", &AccessManagerStats::storage_stale_marks},
+     {"degraded", &AccessManagerStats::degraded},
+     {"cache_overflow_bytes", &AccessManagerStats::cache_overflow_bytes}});
+
+}  // namespace
 
 std::string FormatQueueStatus(const QueueStatus& status) {
   std::string out = status.connected ? "connected" : "DISCONNECTED";
@@ -33,7 +64,6 @@ std::string FormatQueueStatus(const QueueStatus& status) {
 AccessManager::AccessManager(EventLoop* loop, TransportManager* transport,
                              QrpcClient* qrpc, AccessManagerOptions options)
     : loop_(loop), transport_(transport), qrpc_(qrpc), options_(std::move(options)) {
-  WireMetrics(&own_metrics_, "access_manager");
   transport_->SetHandler(MessageType::kControl,
                          [this](const Message& msg) { HandleControl(msg); });
   transport_->scheduler()->SetQueueObserver([this](size_t) { NotifyStatus(); });
@@ -45,90 +75,8 @@ AccessManager::AccessManager(EventLoop* loop, TransportManager* transport,
   }
 }
 
-void AccessManager::WireMetrics(obs::Registry* registry, const std::string& prefix) {
-  c_cache_hits_ = registry->counter(prefix + ".cache_hits");
-  c_cache_misses_ = registry->counter(prefix + ".cache_misses");
-  c_imports_completed_ = registry->counter(prefix + ".imports_completed");
-  c_exports_completed_ = registry->counter(prefix + ".exports_completed");
-  c_local_invokes_ = registry->counter(prefix + ".local_invokes");
-  c_remote_invokes_ = registry->counter(prefix + ".remote_invokes");
-  c_evictions_ = registry->counter(prefix + ".evictions");
-  c_invalidations_received_ = registry->counter(prefix + ".invalidations_received");
-  c_polls_sent_ = registry->counter(prefix + ".polls_sent");
-  c_poll_staleness_detected_ = registry->counter(prefix + ".poll_staleness_detected");
-  c_conflicts_resolved_ = registry->counter(prefix + ".conflicts_resolved");
-  c_conflicts_unresolved_ = registry->counter(prefix + ".conflicts_unresolved");
-  c_prefetch_issued_ = registry->counter(prefix + ".prefetch_issued");
-  c_server_restarts_observed_ = registry->counter(prefix + ".server_restarts_observed");
-  c_prefetches_shed_ = registry->counter(prefix + ".prefetches_shed");
-  c_degraded_entered_ = registry->counter(prefix + ".degraded_entered");
-  c_cache_overflow_events_ = registry->counter(prefix + ".cache_overflow_events");
-  c_delta_hits_ = registry->counter(prefix + ".delta_hits");
-  c_delta_full_ = registry->counter(prefix + ".delta_full");
-  c_delta_not_modified_ = registry->counter(prefix + ".delta_not_modified");
-  c_delta_fallbacks_ = registry->counter(prefix + ".delta_fallbacks");
-  c_delta_bytes_saved_ = registry->counter(prefix + ".delta_bytes_saved");
-  c_storage_stale_marks_ = registry->counter(prefix + ".storage_stale_marks");
-  g_degraded_ = registry->gauge(prefix + ".degraded");
-  g_cache_overflow_bytes_ = registry->gauge(prefix + ".cache_overflow_bytes");
-}
-
-void AccessManager::BindMetrics(obs::Registry* registry, const std::string& prefix) {
-  const AccessManagerStats carried = stats();
-  WireMetrics(registry, prefix);
-  c_cache_hits_->Increment(carried.cache_hits);
-  c_cache_misses_->Increment(carried.cache_misses);
-  c_imports_completed_->Increment(carried.imports_completed);
-  c_exports_completed_->Increment(carried.exports_completed);
-  c_local_invokes_->Increment(carried.local_invokes);
-  c_remote_invokes_->Increment(carried.remote_invokes);
-  c_evictions_->Increment(carried.evictions);
-  c_invalidations_received_->Increment(carried.invalidations_received);
-  c_polls_sent_->Increment(carried.polls_sent);
-  c_poll_staleness_detected_->Increment(carried.poll_staleness_detected);
-  c_conflicts_resolved_->Increment(carried.conflicts_resolved);
-  c_conflicts_unresolved_->Increment(carried.conflicts_unresolved);
-  c_prefetch_issued_->Increment(carried.prefetch_issued);
-  c_server_restarts_observed_->Increment(carried.server_restarts_observed);
-  c_prefetches_shed_->Increment(carried.prefetches_shed);
-  c_degraded_entered_->Increment(carried.degraded_entered);
-  c_cache_overflow_events_->Increment(carried.cache_overflow_events);
-  c_delta_hits_->Increment(carried.delta_hits);
-  c_delta_full_->Increment(carried.delta_full);
-  c_delta_not_modified_->Increment(carried.delta_not_modified);
-  c_delta_fallbacks_->Increment(carried.delta_fallbacks);
-  c_delta_bytes_saved_->Increment(carried.delta_bytes_saved);
-  c_storage_stale_marks_->Increment(carried.storage_stale_marks);
-  g_degraded_->Set(degraded_ ? 1 : 0);
-  UpdateOverflowGauge();
-}
-
-AccessManagerStats AccessManager::stats() const {
-  AccessManagerStats s;
-  s.cache_hits = c_cache_hits_->value();
-  s.cache_misses = c_cache_misses_->value();
-  s.imports_completed = c_imports_completed_->value();
-  s.exports_completed = c_exports_completed_->value();
-  s.local_invokes = c_local_invokes_->value();
-  s.remote_invokes = c_remote_invokes_->value();
-  s.evictions = c_evictions_->value();
-  s.invalidations_received = c_invalidations_received_->value();
-  s.polls_sent = c_polls_sent_->value();
-  s.poll_staleness_detected = c_poll_staleness_detected_->value();
-  s.conflicts_resolved = c_conflicts_resolved_->value();
-  s.conflicts_unresolved = c_conflicts_unresolved_->value();
-  s.prefetch_issued = c_prefetch_issued_->value();
-  s.server_restarts_observed = c_server_restarts_observed_->value();
-  s.prefetches_shed = c_prefetches_shed_->value();
-  s.degraded_entered = c_degraded_entered_->value();
-  s.cache_overflow_events = c_cache_overflow_events_->value();
-  s.delta_hits = c_delta_hits_->value();
-  s.delta_full = c_delta_full_->value();
-  s.delta_not_modified = c_delta_not_modified_->value();
-  s.delta_fallbacks = c_delta_fallbacks_->value();
-  s.delta_bytes_saved = c_delta_bytes_saved_->value();
-  s.storage_stale_marks = c_storage_stale_marks_->value();
-  return s;
+void AccessManager::BindMetrics(obs::Registry* registry) {
+  metrics_binding_ = registry->Bind(kMetrics, &stats_);
 }
 
 void AccessManager::SchedulePoll() {
@@ -158,7 +106,7 @@ void AccessManager::RunPoll() {
     keys_order[urn.server].push_back(key);
   }
   for (const auto& [server, paths] : by_server) {
-    c_polls_sent_->Increment();
+    ++stats_.polls_sent;
     // Best-effort; the next poll repeats it. A newer poll covers everything
     // an unsent older one would, so it supersedes it in the queue.
     QrpcCallOptions poll_opts = MakeCallOptions(Priority::kBackground, false);
@@ -187,7 +135,7 @@ void AccessManager::RunPoll() {
             static_cast<uint64_t>(TclParseInt((*versions)[i]).value_or(0));
         if (server_version > entry->committed.version) {
           entry->stale = true;
-          c_poll_staleness_detected_->Increment();
+          ++stats_.poll_staleness_detected;
         }
       }
     });
@@ -315,7 +263,7 @@ size_t AccessManager::MarkAllImportsStale() {
     }
   }
   if (marked > 0) {
-    c_storage_stale_marks_->Increment(marked);
+    stats_.storage_stale_marks += marked;
   }
   return marked;
 }
@@ -342,10 +290,10 @@ void AccessManager::UpdateDegraded(size_t queue_depth) {
   }
   if (!degraded_ && queue_depth >= options_.degraded_queue_depth) {
     degraded_ = true;
-    c_degraded_entered_->Increment();
-    g_degraded_->Set(1);
+    ++stats_.degraded_entered;
+    stats_.degraded = 1;
     if (!prefetch_queue_.empty()) {
-      c_prefetches_shed_->Increment(prefetch_queue_.size());
+      stats_.prefetches_shed += prefetch_queue_.size();
       prefetch_queue_.clear();
     }
     ROVER_LOG(Warning) << "access manager degraded: scheduler depth "
@@ -355,7 +303,7 @@ void AccessManager::UpdateDegraded(size_t queue_depth) {
     // Hysteresis: recover only once the backlog has clearly drained, so a
     // depth oscillating around the threshold does not flap the mode.
     degraded_ = false;
-    g_degraded_->Set(0);
+    stats_.degraded = 0;
     ROVER_LOG(Info) << "access manager recovered from degraded mode"
                     << " (scheduler depth " << queue_depth << ")";
   }
@@ -408,7 +356,7 @@ Promise<ImportResult> AccessManager::Import(const std::string& name, ImportOptio
       entry != nullptr && entry->stale && !ConnectedTo(Resolve(name).server);
   if (entry != nullptr && options.allow_cached &&
       (!entry->stale || serve_stale_offline) && entry->committed.version >= required) {
-    c_cache_hits_->Increment();
+    ++stats_.cache_hits;
     Touch(entry);
     if (options.pin) {
       entry->pinned = true;
@@ -434,7 +382,7 @@ Promise<ImportResult> AccessManager::Import(const std::string& name, ImportOptio
     return promise;
   }
 
-  c_cache_misses_->Increment();
+  ++stats_.cache_misses;
   auto [it, first] = pending_imports_.try_emplace(name);
   ImportWaiter waiter;
   waiter.promise = promise;
@@ -533,12 +481,12 @@ void AccessManager::StartImportRpc(const std::string& name, Priority priority,
             // server just confirmed (its state may predate an export the
             // session saw committed elsewhere); the cached copy cannot
             // answer this import.
-            c_delta_fallbacks_->Increment();
+            ++stats_.delta_fallbacks;
             StartImportRpc(name, priority, /*allow_delta=*/false);
             return;
           }
-          c_delta_not_modified_->Increment();
-          c_delta_bytes_saved_->Increment(entry->import_image.size());
+          ++stats_.delta_not_modified;
+          stats_.delta_bytes_saved += entry->import_image.size();
           entry->stale = false;
           Touch(entry);
           if (pending != pending_imports_.end() && pending->second.pin) {
@@ -568,13 +516,13 @@ void AccessManager::StartImportRpc(const std::string& name, Priority priority,
             if (entry != nullptr) {
               entry->import_image.clear();
             }
-            c_delta_fallbacks_->Increment();
+            ++stats_.delta_fallbacks;
             StartImportRpc(name, priority, /*allow_delta=*/false);
             return;
           }
-          c_delta_hits_->Increment();
+          ++stats_.delta_hits;
           if (applied->size() > delta->size()) {
-            c_delta_bytes_saved_->Increment(applied->size() - delta->size());
+            stats_.delta_bytes_saved += applied->size() - delta->size();
           }
           full = std::move(*applied);
           break;
@@ -586,7 +534,7 @@ void AccessManager::StartImportRpc(const std::string& name, Priority priority,
             FinishImport(name, result);
             return;
           }
-          c_delta_full_->Increment();
+          ++stats_.delta_full;
           full = std::move(*body);
           break;
         }
@@ -693,7 +641,7 @@ void AccessManager::InstallDescriptor(const RdoDescriptor& descriptor, bool pin,
 
 void AccessManager::FinishImport(const std::string& name, const ImportResult& result) {
   if (result.status.ok()) {
-    c_imports_completed_->Increment();
+    ++stats_.imports_completed;
   }
   latest_import_rpc_.erase(name);
   auto it = pending_imports_.find(name);
@@ -727,7 +675,7 @@ void AccessManager::UpdateOverflowGauge() {
   const size_t over = cache_bytes_ > options_.cache_capacity_bytes
                           ? cache_bytes_ - options_.cache_capacity_bytes
                           : 0;
-  g_cache_overflow_bytes_->Set(static_cast<int64_t>(over));
+  stats_.cache_overflow_bytes = static_cast<int64_t>(over);
   if (over == 0) {
     overflowing_ = false;
   }
@@ -754,7 +702,7 @@ void AccessManager::EvictIfNeeded() {
       UpdateOverflowGauge();
       if (!overflowing_) {
         overflowing_ = true;
-        c_cache_overflow_events_->Increment();
+        ++stats_.cache_overflow_events;
         ROVER_LOG(Warning)
             << "cache over capacity by "
             << (cache_bytes_ - options_.cache_capacity_bytes)
@@ -762,7 +710,7 @@ void AccessManager::EvictIfNeeded() {
       }
       return;
     }
-    c_evictions_->Increment();
+    ++stats_.evictions;
     Evict(victim);
   }
   UpdateOverflowGauge();
@@ -809,7 +757,7 @@ Promise<InvokeResult> AccessManager::Invoke(const std::string& name,
       });
       return promise;
     }
-    c_local_invokes_->Increment();
+    ++stats_.local_invokes;
     auto value = (*instance)->Invoke(method, args);
     const Duration cost =
         options_.rdo_costs.per_command *
@@ -839,7 +787,7 @@ Promise<InvokeResult> AccessManager::Invoke(const std::string& name,
   }
 
   // Remote execution at the home server.
-  c_remote_invokes_->Increment();
+  ++stats_.remote_invokes;
   QrpcCall call = qrpc_->Call(urn.server, "rover.invoke",
                               {urn.path, std::string(method), TclListJoin(args)},
                               MakeCallOptions(options.priority));
@@ -935,9 +883,9 @@ Promise<ExportResult> AccessManager::Export(const std::string& name, Priority pr
       result.server_resolved = *was_conflict;
       if (newest) {
         if (*was_conflict) {
-          c_conflicts_resolved_->Increment();
+          ++stats_.conflicts_resolved;
         }
-        c_exports_completed_->Increment();
+        ++stats_.exports_completed;
       }
       if (entry != nullptr) {
         cache_bytes_ -= entry->bytes;
@@ -963,7 +911,7 @@ Promise<ExportResult> AccessManager::Export(const std::string& name, Priority pr
 
     result.status = rpc.status;
     if (newest && rpc.status.code() == StatusCode::kConflict) {
-      c_conflicts_unresolved_->Increment();
+      ++stats_.conflicts_unresolved;
       // The server shipped its committed descriptor along with the refusal.
       auto payload = RpcValueAsBytes(rpc.value);
       if (payload.ok()) {
@@ -994,7 +942,7 @@ void AccessManager::Prefetch(const std::vector<std::string>& names) {
       // Cache warming is the first load we sacrifice under pressure --
       // scheduler backlog or a full stable device alike; the caller can
       // re-issue once the condition clears.
-      c_prefetches_shed_->Increment();
+      ++stats_.prefetches_shed;
       continue;
     }
     prefetch_queue_.push_back(name);
@@ -1016,7 +964,7 @@ void AccessManager::PumpPrefetchQueue() {
       continue;
     }
     ++prefetch_in_flight_;
-    c_prefetch_issued_->Increment();
+    ++stats_.prefetch_issued;
     ImportOptions options;
     options.priority = Priority::kBackground;
     Promise<ImportResult> p = Import(name, options);
@@ -1097,7 +1045,7 @@ void AccessManager::HandleControl(const Message& msg) {
   if (!inval.ok()) {
     return;  // not for us
   }
-  c_invalidations_received_->Increment();
+  ++stats_.invalidations_received;
   // The server names objects by path; cache keys may be URNs, so match on
   // (home server, path).
   for (auto& [key, entry] : cache_) {
@@ -1110,7 +1058,7 @@ void AccessManager::HandleControl(const Message& msg) {
 }
 
 void AccessManager::OnServerRestart(const std::string& server, uint64_t /*epoch*/) {
-  c_server_restarts_observed_->Increment();
+  ++stats_.server_restarts_observed;
   // The restarted server lost its volatile subscription table, and anything
   // it committed that never reached its stable store is gone: re-validate
   // every cached import from it (tentative work is preserved -- only the

@@ -99,7 +99,6 @@ struct ImportOptions {
   Session* session = nullptr;
 };
 
-// Snapshot assembled from the metrics registry (see stats()).
 struct AccessManagerStats {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
@@ -129,6 +128,9 @@ struct AccessManagerStats {
   uint64_t delta_bytes_saved = 0;   // full-body bytes the wire never carried
   // Cache entries marked stale by MarkAllImportsStale (storage-loss sweeps).
   uint64_t storage_stale_marks = 0;
+  // Gauges.
+  int64_t degraded = 0;              // 1 while degraded mode is engaged
+  int64_t cache_overflow_bytes = 0;  // bytes held past the cache capacity
 };
 
 // Snapshot handed to the status callback whenever it changes -- the
@@ -224,12 +226,10 @@ class AccessManager {
   // checker. Null disables (the default).
   void SetCheckListener(obs::CheckListener* listener) { check_ = listener; }
 
-  // Re-homes the manager's instruments into `registry` under "<prefix>."
-  // names, carrying current values over.
-  void BindMetrics(obs::Registry* registry, const std::string& prefix = "access_manager");
+  // Exposes stats() through `registry` as "access_manager.*".
+  void BindMetrics(obs::Registry* registry);
 
-  // Snapshot adapter over the registry counters (kept for existing callers).
-  AccessManagerStats stats() const;
+  const AccessManagerStats& stats() const { return stats_; }
   const AccessManagerOptions& options() const { return options_; }
 
   // Best currently-up bandwidth to the default home server (or a named
@@ -287,7 +287,6 @@ class AccessManager {
   void PumpPrefetchQueue();
   void UpdateDegraded(size_t queue_depth);
   void UpdateOverflowGauge();
-  void WireMetrics(obs::Registry* registry, const std::string& prefix);
 
   Result<RdoInstance*> LocalInstance(const std::string& name);
 
@@ -296,32 +295,7 @@ class AccessManager {
   QrpcClient* qrpc_;
   AccessManagerOptions options_;
   obs::CheckListener* check_ = nullptr;
-  obs::Registry own_metrics_;  // used until BindMetrics() points elsewhere
-  obs::Counter* c_cache_hits_ = nullptr;
-  obs::Counter* c_cache_misses_ = nullptr;
-  obs::Counter* c_imports_completed_ = nullptr;
-  obs::Counter* c_exports_completed_ = nullptr;
-  obs::Counter* c_local_invokes_ = nullptr;
-  obs::Counter* c_remote_invokes_ = nullptr;
-  obs::Counter* c_evictions_ = nullptr;
-  obs::Counter* c_invalidations_received_ = nullptr;
-  obs::Counter* c_polls_sent_ = nullptr;
-  obs::Counter* c_poll_staleness_detected_ = nullptr;
-  obs::Counter* c_conflicts_resolved_ = nullptr;
-  obs::Counter* c_conflicts_unresolved_ = nullptr;
-  obs::Counter* c_prefetch_issued_ = nullptr;
-  obs::Counter* c_server_restarts_observed_ = nullptr;
-  obs::Counter* c_prefetches_shed_ = nullptr;
-  obs::Counter* c_degraded_entered_ = nullptr;
-  obs::Counter* c_cache_overflow_events_ = nullptr;
-  obs::Counter* c_delta_hits_ = nullptr;
-  obs::Counter* c_delta_full_ = nullptr;
-  obs::Counter* c_delta_not_modified_ = nullptr;
-  obs::Counter* c_delta_fallbacks_ = nullptr;
-  obs::Counter* c_delta_bytes_saved_ = nullptr;
-  obs::Counter* c_storage_stale_marks_ = nullptr;
-  obs::Gauge* g_degraded_ = nullptr;
-  obs::Gauge* g_cache_overflow_bytes_ = nullptr;
+  AccessManagerStats stats_;
   std::map<std::string, Entry> cache_;
   size_t cache_bytes_ = 0;
   uint64_t use_seq_ = 0;
@@ -377,6 +351,7 @@ class AccessManager {
   // access manager destroyed by a simulated crash is never touched by
   // events already in the loop.
   std::shared_ptr<char> alive_ = std::make_shared<char>(0);
+  obs::Binding metrics_binding_;
 };
 
 }  // namespace rover

@@ -446,24 +446,23 @@ void SimCheck::CheckQuiesced() {
                        " but the structural walk counts " +
                        std::to_string(audit.messages));
     }
-    const obs::Gauge* depth = node->metrics()->FindGauge("scheduler.queue_depth");
-    if (depth != nullptr && depth->value() != static_cast<int64_t>(audit.messages)) {
+    const int64_t depth = node->metrics()->GaugeValue("scheduler.queue_depth");
+    if (depth != static_cast<int64_t>(audit.messages)) {
       AddViolation("gauge-drift", host,
-                   "scheduler.queue_depth=" + std::to_string(depth->value()) +
+                   "scheduler.queue_depth=" + std::to_string(depth) +
                        " but scheduler holds " + std::to_string(audit.messages));
     }
-    const obs::Gauge* qbytes =
-        node->metrics()->FindGauge("scheduler.queued_payload_bytes");
-    if (qbytes != nullptr && qbytes->value() != static_cast<int64_t>(audit.payload_bytes)) {
+    const int64_t qbytes = node->metrics()->GaugeValue("scheduler.queued_payload_bytes");
+    if (qbytes != static_cast<int64_t>(audit.payload_bytes)) {
       AddViolation("gauge-drift", host,
-                   "scheduler.queued_payload_bytes=" + std::to_string(qbytes->value()) +
+                   "scheduler.queued_payload_bytes=" + std::to_string(qbytes) +
                        " but scheduler holds " + std::to_string(audit.payload_bytes));
     }
-    const obs::Gauge* lbytes = node->metrics()->FindGauge("qrpc_client.log_bytes");
+    const int64_t lbytes = node->metrics()->GaugeValue("qrpc_client.log_bytes");
     const size_t actual_log = node->log()->TotalBytes();
-    if (lbytes != nullptr && lbytes->value() != static_cast<int64_t>(actual_log)) {
+    if (lbytes != static_cast<int64_t>(actual_log)) {
       AddViolation("gauge-drift", host,
-                   "qrpc_client.log_bytes=" + std::to_string(lbytes->value()) +
+                   "qrpc_client.log_bytes=" + std::to_string(lbytes) +
                        " but the stable log holds " + std::to_string(actual_log));
     }
   }
@@ -481,10 +480,10 @@ void SimCheck::CheckQuiesced() {
       AddViolation("queue-index-drift", host,
                    "TotalQueueDepth disagrees with the structural walk");
     }
-    const obs::Gauge* depth = node->metrics()->FindGauge("scheduler.queue_depth");
-    if (depth != nullptr && depth->value() != static_cast<int64_t>(audit.messages)) {
+    const int64_t depth = node->metrics()->GaugeValue("scheduler.queue_depth");
+    if (depth != static_cast<int64_t>(audit.messages)) {
       AddViolation("gauge-drift", host,
-                   "scheduler.queue_depth=" + std::to_string(depth->value()) +
+                   "scheduler.queue_depth=" + std::to_string(depth) +
                        " but scheduler holds " + std::to_string(audit.messages));
     }
   }

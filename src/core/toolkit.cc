@@ -5,11 +5,19 @@
 #include "src/util/logging.h"
 
 namespace rover {
+namespace {
+
+const obs::Schema<NodeStorageStats> kStorageMetrics(
+    "storage_scrub", {{"runs", &NodeStorageStats::scrub_runs},
+                      {"quarantined", &NodeStorageStats::scrub_quarantined}});
+
+}  // namespace
 
 RoverClientNode::RoverClientNode(EventLoop* loop, Host* host, ClientNodeOptions options)
     : loop_(loop), host_(host), options_(std::move(options)) {
+  storage_binding_ = metrics_.Bind(kStorageMetrics, &storage_);
   log_ = std::make_unique<StableLog>(loop_, options_.log_costs, options_.disk_faults);
-  log_->BindMetrics(&metrics_, "stable_log");
+  log_->BindMetrics(&metrics_);
   // Permanent sync failure is fail-stop: the node treats it as a crash.
   log_->SetFailStopHandler([this] { OnStorageFailStop(); });
   Build();
@@ -23,9 +31,8 @@ void RoverClientNode::ArmScrubTimer() {
   // The node outlives every loop event (the testbed tears the loop down
   // with the nodes), so a plain `this` capture is safe here.
   loop_->ScheduleAfter(options_.scrub_interval, [this] {
-    metrics_.counter("storage_scrub.runs")->Increment();
-    const size_t quarantined = ScrubStorage();
-    metrics_.counter("storage_scrub.quarantined")->Increment(quarantined);
+    ++storage_.scrub_runs;
+    storage_.scrub_quarantined += ScrubStorage();
     ArmScrubTimer();
   });
 }
@@ -34,7 +41,7 @@ void RoverClientNode::OnStorageFailStop() {
   if (!log_->device()->sync_failed()) {
     return;  // an earlier fail-stop already replaced the device
   }
-  ++storage_fail_stops_;
+  ++storage_.fail_stops;
   // Model the operator swapping the dead disk during the reboot: without a
   // working device the node could never ack durability again, so the
   // deployment would have no post-fault convergence path.
@@ -67,15 +74,14 @@ void RoverClientNode::Build() {
   if (!options_.auth_token.empty()) {
     transport_->set_auth_token(options_.auth_token);
   }
-  // One registry per node: every subsystem's instruments under its own
+  // One registry per node: every subsystem's stats under its own
   // "<subsystem>." prefix, one tracer shared by the QRPC client (enqueue/
-  // log/flush/respond events) and the scheduler (transmit events). A
-  // rebuilt component starts at zero, so re-binding after a crash keeps the
-  // registry's counters cumulative.
-  transport_->scheduler()->BindMetrics(&metrics_, "scheduler");
-  transport_->BindMetrics(&metrics_, "transport");
-  qrpc_client_->BindMetrics(&metrics_, "qrpc_client");
-  access_manager_->BindMetrics(&metrics_, "access_manager");
+  // log/flush/respond events) and the scheduler (transmit events). The
+  // registry adds the previous incarnation's counts into each rebuilt
+  // component as it binds, so counters stay cumulative across crashes.
+  transport_->BindMetrics(&metrics_);
+  qrpc_client_->BindMetrics(&metrics_);
+  access_manager_->BindMetrics(&metrics_);
   qrpc_client_->SetTracer(&tracer_);
   transport_->scheduler()->SetTracer(&tracer_);
   if (check_ != nullptr) {
@@ -137,6 +143,8 @@ size_t RoverClientNode::SimulateCrashAndRestart(bool tear_last_log_record) {
 RoverServerNode::RoverServerNode(EventLoop* loop, Host* host, ServerNodeOptions options)
     : loop_(loop), host_(host), options_(std::move(options)),
       stable_store_(loop, options_.stable_store) {
+  storage_binding_ = metrics_.Bind(kStorageMetrics, &storage_);
+  stable_store_.BindMetrics(&metrics_);
   // Permanent WAL sync failure is fail-stop: the node treats it as a crash.
   stable_store_.wal()->SetFailStopHandler([this] { OnStorageFailStop(); });
   Build();
@@ -151,9 +159,8 @@ void RoverServerNode::ArmScrubTimer() {
     if (dead_) {
       return;
     }
-    metrics_.counter("storage_scrub.runs")->Increment();
-    const size_t quarantined = ScrubStorage();
-    metrics_.counter("storage_scrub.quarantined")->Increment(quarantined);
+    ++storage_.scrub_runs;
+    storage_.scrub_quarantined += ScrubStorage();
     ArmScrubTimer();
   });
 }
@@ -202,7 +209,7 @@ void RoverServerNode::BuildReplication() {
         check_->OnReplicationDegraded(host_name());
       }
     });
-    repl_sender_->BindMetrics(&metrics_, "replication_sender");
+    repl_sender_->BindMetrics(&metrics_);
     rover_server_->SetReplicationSender(repl_sender_.get());
   } else if (!repl_backup_peer_.empty()) {
     ReplicationOptions ropts;
@@ -213,7 +220,7 @@ void RoverServerNode::BuildReplication() {
     if (check_ != nullptr) {
       repl_receiver_->SetCheckListener(check_);
     }
-    repl_receiver_->BindMetrics(&metrics_, "replication_receiver");
+    repl_receiver_->BindMetrics(&metrics_);
   }
 }
 
@@ -263,7 +270,7 @@ void RoverServerNode::RequestWalFailStop() {
     if (dead_) {
       return;
     }
-    ++storage_fail_stops_;
+    ++storage_.fail_stops;
     if (failstop_failover_handler_) {
       // A backup exists: storage death is terminal for this node, and the
       // handler moves the service instead of resurrecting the disk.
@@ -296,9 +303,9 @@ void RoverServerNode::Build() {
   // from what stable storage will recover, so discard the incarnation and
   // let resends re-execute against recovered state.
   rover_server_->SetWalFailureHandler([this] { RequestWalFailStop(); });
-  transport_->scheduler()->BindMetrics(&metrics_, "scheduler");
-  qrpc_server_->BindMetrics(&metrics_, "qrpc_server");
-  transport_->BindMetrics(&metrics_, "transport");
+  transport_->BindMetrics(&metrics_);
+  qrpc_server_->BindMetrics(&metrics_);
+  rover_server_->BindMetrics(&metrics_);
   if (check_ != nullptr) {
     qrpc_server_->SetCheckListener(check_);
     rover_server_->SetCheckListener(check_);

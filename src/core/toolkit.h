@@ -41,8 +41,15 @@ struct ClientNodeOptions {
   Duration scrub_interval = Duration::Zero();
 };
 
+// Node-level storage counters; each component's own live in its stats().
+struct NodeStorageStats {
+  uint64_t scrub_runs = 0;         // periodic scrubs run (scrub_interval)
+  uint64_t scrub_quarantined = 0;  // records those scrubs quarantined
+  uint64_t fail_stops = 0;         // see storage_fail_stops()
+};
+
 // A mobile host: access manager over QRPC over the network scheduler,
-// with a stable operation log. Every subsystem's instruments live in one
+// with a stable operation log. Every subsystem's stats are bound into one
 // node-wide metrics registry, and the QRPC client + scheduler share one
 // per-RPC lifecycle tracer.
 class RoverClientNode {
@@ -69,11 +76,12 @@ class RoverClientNode {
 
   // Times the stable device reported a permanent sync failure and the node
   // fail-stopped (crash + disk replacement + restart) in response.
-  uint64_t storage_fail_stops() const { return storage_fail_stops_; }
+  uint64_t storage_fail_stops() const { return storage_.fail_stops; }
 
-  // Unified view over scheduler, stable log, qrpc client, and access
-  // manager instruments; render with metrics()->Render(). Counters are
-  // cumulative across crash-restarts.
+  // Live view over the stats of the scheduler, transport, stable log and
+  // its device, qrpc client, access manager and the node's scrubs; render
+  // with metrics()->Render(). Counters (and stats()) are cumulative across
+  // crash-restarts: a rebuilt component resumes its predecessor's totals.
   obs::Registry* metrics() { return &metrics_; }
   obs::RpcTracer* tracer() { return &tracer_; }
 
@@ -91,9 +99,10 @@ class RoverClientNode {
   Host* host_;
   ClientNodeOptions options_;
   obs::CheckListener* check_ = nullptr;
-  uint64_t storage_fail_stops_ = 0;
-  // Declared before the components so it outlives their metric handles.
+  // Declared before the components so it outlives their bindings.
   obs::Registry metrics_;
+  NodeStorageStats storage_;
+  obs::Binding storage_binding_;
   obs::RpcTracer tracer_;
   // The stable log models the device itself, so it survives crashes; the
   // rest is process state, torn down and rebuilt by SimulateCrashAndRestart.
@@ -176,10 +185,12 @@ class RoverServerNode {
   // Times the WAL device forced a fail-stop (permanent sync failure, or a
   // response-journal flush whose retries were exhausted) and the node
   // crash-restarted in response.
-  uint64_t storage_fail_stops() const { return storage_fail_stops_; }
+  uint64_t storage_fail_stops() const { return storage_.fail_stops; }
 
-  // Unified view over the server's scheduler and qrpc instruments.
-  // Counters are cumulative across crash-restarts.
+  // Live view over the stats of the scheduler, transport, qrpc server,
+  // rover server, stable store and its WAL device, replication endpoint and
+  // the node's scrubs. Counters (and stats()) are cumulative across
+  // crash-restarts, and a killed node keeps its final counts.
   obs::Registry* metrics() { return &metrics_; }
 
   // Attaches an invariant checker to the qrpc server and rover server.
@@ -203,7 +214,6 @@ class RoverServerNode {
   Host* host_;
   ServerNodeOptions options_;
   obs::CheckListener* check_ = nullptr;
-  uint64_t storage_fail_stops_ = 0;
   bool wal_failstop_pending_ = false;
   bool dead_ = false;
   // Replication role (at most one non-empty), re-applied on every rebuild.
@@ -211,8 +221,10 @@ class RoverServerNode {
   std::string repl_backup_peer_;   // set = this node receives from that primary
   Duration repl_sync_timeout_ = Duration::Seconds(5);
   std::function<void()> failstop_failover_handler_;
-  // Declared before the components so it outlives their metric handles.
+  // Declared before the components so it outlives their bindings.
   obs::Registry metrics_;
+  NodeStorageStats storage_;
+  obs::Binding storage_binding_;
   // The stable store models the device itself, so it survives crashes.
   ServerStableStore stable_store_;
   std::unique_ptr<TransportManager> transport_;

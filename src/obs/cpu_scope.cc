@@ -2,8 +2,6 @@
 
 #include <chrono>
 
-#include "src/obs/metrics.h"
-
 #if defined(__x86_64__) || defined(_M_X64)
 #include <x86intrin.h>
 #endif
@@ -78,19 +76,6 @@ double CpuAttribution::CyclesPerSecond() {
     }
   }
   return cycles_per_sec_;
-}
-
-void CpuAttribution::PublishTo(Registry* registry, const std::string& prefix) const {
-  for (size_t i = 0; i < static_cast<size_t>(CpuZone::kCount); ++i) {
-    const std::string base =
-        prefix + "." + std::string(CpuZoneName(static_cast<CpuZone>(i)));
-    Counter* cycles = registry->counter(base + ".cycles");
-    cycles->Reset();
-    cycles->Increment(totals_[i].cycles);
-    Counter* enters = registry->counter(base + ".enters");
-    enters->Reset();
-    enters->Increment(totals_[i].enters);
-  }
 }
 
 CpuScope::CpuScope(CpuZone zone) {

@@ -6,22 +6,19 @@
 // sums to (at most) total instrumented time instead of double-counting.
 //
 // Attribution is off by default and costs one predicted branch per scope
-// when disabled, so the hot paths stay clean in normal runs. bench_scale
-// enables it, publishes the totals into an obs::Registry, and emits them
-// into BENCH_scale.json so a regression in one layer is visible as a
-// number, not a guess. Single-threaded by design, like the simulator.
+// when disabled, so the hot paths stay clean in normal runs. The benches
+// enable it and report the per-zone totals beside their results, so a
+// regression in one layer is visible as a number, not a guess.
+// Single-threaded by design, like the simulator.
 
 #ifndef ROVER_SRC_OBS_CPU_SCOPE_H_
 #define ROVER_SRC_OBS_CPU_SCOPE_H_
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 
 namespace rover {
 namespace obs {
-
-class Registry;
 
 enum class CpuZone : uint8_t {
   kSchedulerDispatch = 0,  // scheduler enqueue/drain/batch outcome
@@ -57,10 +54,6 @@ class CpuAttribution {
   // Measured once (against the monotonic clock) so cycle totals can be
   // reported as seconds; cached after the first call.
   double CyclesPerSecond();
-
-  // Writes "<prefix>.<zone>.cycles" and "<prefix>.<zone>.enters" counters
-  // into `registry`, replacing any previous published values.
-  void PublishTo(Registry* registry, const std::string& prefix = "cpu") const;
 
  private:
   friend class CpuScope;

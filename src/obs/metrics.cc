@@ -1,6 +1,7 @@
 #include "src/obs/metrics.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <sstream>
 #include <utility>
@@ -57,13 +58,6 @@ void Histogram::Observe(double value) {
   max_ = std::max(max_, value);
 }
 
-void Histogram::Reset() {
-  buckets_.assign(bounds_.size() + 1, 0);
-  count_ = 0;
-  sum_ = 0;
-  max_ = 0;
-}
-
 std::vector<double> DefaultLatencyBoundsSeconds() {
   std::vector<double> bounds;
   for (double b = 1e-3; b < 1100.0; b *= 2) {  // 1ms .. ~1024s
@@ -72,92 +66,160 @@ std::vector<double> DefaultLatencyBoundsSeconds() {
   return bounds;
 }
 
-Counter* Registry::counter(const std::string& name) {
-  auto& slot = counters_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Counter>();
+void Histogram::Merge(const Histogram& other) {
+  for (size_t i = 0; i < buckets_.size() && i < other.buckets_.size(); ++i) {
+    buckets_[i] += other.buckets_[i];
   }
-  return slot.get();
+  count_ += other.count_;
+  sum_ += other.sum_;
+  max_ = std::max(max_, other.max_);
 }
 
-Gauge* Registry::gauge(const std::string& name) {
-  auto& slot = gauges_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Gauge>();
+struct Registry::Entry {
+  const FieldLayout& layout;
+  char* base;
+  std::vector<Histogram*> histograms;  // parallel to layout.histograms
+
+  uint64_t& counter(const FieldLayout::Slot& slot) const {
+    return *reinterpret_cast<uint64_t*>(base + slot.offset);
   }
-  return slot.get();
-}
-
-Histogram* Registry::histogram(const std::string& name, std::vector<double> bounds) {
-  auto& slot = histograms_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Histogram>(std::move(bounds));
+  int64_t gauge(const FieldLayout::Slot& slot) const {
+    return *reinterpret_cast<const int64_t*>(base + slot.offset);
   }
-  return slot.get();
+};
+
+Registry::Binding Registry::BindLayout(const FieldLayout& layout, void* stats,
+                                       std::initializer_list<Histogram*> histograms) {
+  assert(histograms.size() == layout.histograms.size());
+  Binding binding(new Entry{layout, static_cast<char*>(stats), histograms}, Unbind{this});
+  Entry* entry = binding.get();
+  for (const FieldLayout::Slot& slot : layout.slots) {
+    if (auto kept = kept_counters_.find(slot.name); !slot.gauge && kept != kept_counters_.end()) {
+      entry->counter(slot) += kept->second;
+      kept_counters_.erase(kept);
+    }
+  }
+  for (size_t i = 0; i < layout.histograms.size(); ++i) {
+    if (auto kept = kept_histograms_.find(layout.histograms[i]); kept != kept_histograms_.end()) {
+      entry->histograms[i]->Merge(kept->second);
+      kept_histograms_.erase(kept);
+    }
+  }
+  live_.push_back(entry);
+  return binding;
 }
 
-const Counter* Registry::FindCounter(const std::string& name) const {
-  auto it = counters_.find(name);
-  return it == counters_.end() ? nullptr : it->second.get();
-}
-
-const Gauge* Registry::FindGauge(const std::string& name) const {
-  auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : it->second.get();
-}
-
-const Histogram* Registry::FindHistogram(const std::string& name) const {
-  auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : it->second.get();
+void Registry::Unbind::operator()(Entry* entry) const {
+  for (const FieldLayout::Slot& slot : entry->layout.slots) {
+    if (!slot.gauge) {
+      registry->kept_counters_[slot.name] += entry->counter(slot);
+    }
+  }
+  for (size_t i = 0; i < entry->histograms.size(); ++i) {
+    auto [kept, fresh] = registry->kept_histograms_.try_emplace(entry->layout.histograms[i],
+                                                                *entry->histograms[i]);
+    if (!fresh) {
+      kept->second.Merge(*entry->histograms[i]);
+    }
+  }
+  std::erase(registry->live_, entry);
+  delete entry;
 }
 
 uint64_t Registry::CounterValue(const std::string& name) const {
-  const Counter* c = FindCounter(name);
-  return c == nullptr ? 0 : c->value();
+  auto kept = kept_counters_.find(name);
+  uint64_t value = kept == kept_counters_.end() ? 0 : kept->second;
+  for (const Entry* e : live_) {
+    for (const FieldLayout::Slot& slot : e->layout.slots) {
+      value += !slot.gauge && slot.name == name ? e->counter(slot) : 0;
+    }
+  }
+  return value;
+}
+
+int64_t Registry::GaugeValue(const std::string& name) const {
+  int64_t value = 0;
+  for (const Entry* e : live_) {
+    for (const FieldLayout::Slot& slot : e->layout.slots) {
+      value += slot.gauge && slot.name == name ? e->gauge(slot) : 0;
+    }
+  }
+  return value;
+}
+
+const Histogram* Registry::FindHistogram(const std::string& name) const {
+  for (const Entry* e : live_) {
+    for (size_t i = 0; i < e->histograms.size(); ++i) {
+      if (e->layout.histograms[i] == name) {
+        return e->histograms[i];
+      }
+    }
+  }
+  auto kept = kept_histograms_.find(name);
+  return kept == kept_histograms_.end() ? nullptr : &kept->second;
 }
 
 std::string Registry::Render(RenderFormat format) const {
+  std::map<std::string, uint64_t> counters = kept_counters_;
+  std::map<std::string, int64_t> gauges;
+  std::map<std::string, Histogram> histograms = kept_histograms_;
+  for (const Entry* e : live_) {
+    for (const FieldLayout::Slot& slot : e->layout.slots) {
+      if (slot.gauge) {
+        gauges[slot.name] += e->gauge(slot);
+      } else {
+        counters[slot.name] += e->counter(slot);
+      }
+    }
+    for (size_t i = 0; i < e->histograms.size(); ++i) {
+      auto [it, fresh] = histograms.try_emplace(e->layout.histograms[i], *e->histograms[i]);
+      if (!fresh) {
+        it->second.Merge(*e->histograms[i]);
+      }
+    }
+  }
+
   std::ostringstream out;
   if (format == RenderFormat::kText) {
-    for (const auto& [name, c] : counters_) {
-      out << name << " " << c->value() << "\n";
+    for (const auto& [name, value] : counters) {
+      out << name << " " << value << "\n";
     }
-    for (const auto& [name, g] : gauges_) {
-      out << name << " " << g->value() << "\n";
+    for (const auto& [name, value] : gauges) {
+      out << name << " " << value << "\n";
     }
-    for (const auto& [name, h] : histograms_) {
-      out << name << " count=" << h->count() << " sum=" << FmtDouble(h->sum())
-          << " max=" << FmtDouble(h->max()) << "\n";
+    for (const auto& [name, h] : histograms) {
+      out << name << " count=" << h.count() << " sum=" << FmtDouble(h.sum())
+          << " max=" << FmtDouble(h.max()) << "\n";
     }
     return out.str();
   }
 
   out << "{\"counters\":{";
   bool first = true;
-  for (const auto& [name, c] : counters_) {
-    out << (first ? "" : ",") << "\"" << JsonEscape(name) << "\":" << c->value();
+  for (const auto& [name, value] : counters) {
+    out << (first ? "" : ",") << "\"" << JsonEscape(name) << "\":" << value;
     first = false;
   }
   out << "},\"gauges\":{";
   first = true;
-  for (const auto& [name, g] : gauges_) {
-    out << (first ? "" : ",") << "\"" << JsonEscape(name) << "\":" << g->value();
+  for (const auto& [name, value] : gauges) {
+    out << (first ? "" : ",") << "\"" << JsonEscape(name) << "\":" << value;
     first = false;
   }
   out << "},\"histograms\":{";
   first = true;
-  for (const auto& [name, h] : histograms_) {
-    out << (first ? "" : ",") << "\"" << JsonEscape(name) << "\":{\"count\":" << h->count()
-        << ",\"sum\":" << FmtDouble(h->sum()) << ",\"max\":" << FmtDouble(h->max())
+  for (const auto& [name, h] : histograms) {
+    out << (first ? "" : ",") << "\"" << JsonEscape(name) << "\":{\"count\":" << h.count()
+        << ",\"sum\":" << FmtDouble(h.sum()) << ",\"max\":" << FmtDouble(h.max())
         << ",\"buckets\":[";
-    const auto& counts = h->bucket_counts();
+    const auto& counts = h.bucket_counts();
     for (size_t i = 0; i < counts.size(); ++i) {
       if (i > 0) {
         out << ",";
       }
       out << "{\"le\":";
-      if (i < h->bounds().size()) {
-        out << FmtDouble(h->bounds()[i]);
+      if (i < h.bounds().size()) {
+        out << FmtDouble(h.bounds()[i]);
       } else {
         out << "\"inf\"";
       }

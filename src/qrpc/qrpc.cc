@@ -9,6 +9,40 @@ namespace {
 
 constexpr uint8_t kLogRecordRequest = 1;
 
+const obs::Schema<QrpcClientStats> kClientMetrics(
+    "qrpc_client",
+    {{"calls", &QrpcClientStats::calls},
+     {"completed", &QrpcClientStats::completed},
+     {"recovered", &QrpcClientStats::recovered},
+     {"cancelled", &QrpcClientStats::cancelled},
+     {"deadline_exceeded", &QrpcClientStats::deadline_exceeded},
+     {"admission_rejected", &QrpcClientStats::admission_rejected},
+     {"background_shed", &QrpcClientStats::background_shed},
+     {"pushback_honored", &QrpcClientStats::pushback_honored},
+     {"pushback_budget_exhausted", &QrpcClientStats::pushback_budget_exhausted},
+     {"coalesced", &QrpcClientStats::coalesced},
+     {"recovered_retries", &QrpcClientStats::recovered_retries},
+     {"storage_flush_failures", &QrpcClientStats::storage_flush_failures},
+     {"storage_refused", &QrpcClientStats::storage_refused},
+     {"storage_degraded_entered", &QrpcClientStats::storage_degraded_entered},
+     {"storage_quarantined_calls", &QrpcClientStats::storage_quarantined_calls},
+     {"failovers", &QrpcClientStats::failovers},
+     {"failover_redispatches", &QrpcClientStats::failover_redispatches},
+     {"storage_degraded", &QrpcClientStats::storage_degraded},
+     {"log_bytes", &QrpcClientStats::log_bytes}},
+    {"rpc_seconds"});
+
+const obs::Schema<QrpcServerStats> kServerMetrics(
+    "qrpc_server",
+    {{"requests", &QrpcServerStats::requests},
+     {"duplicates", &QrpcServerStats::duplicates},
+     {"unknown_methods", &QrpcServerStats::unknown_methods},
+     {"auth_failures", &QrpcServerStats::auth_failures},
+     {"duplicate_cache_decode_failures", &QrpcServerStats::duplicate_cache_decode_failures},
+     {"requests_rejected", &QrpcServerStats::requests_rejected},
+     {"requests_rejected_storage", &QrpcServerStats::requests_rejected_storage},
+     {"inflight_requests", &QrpcServerStats::inflight_requests}});
+
 }  // namespace
 
 QrpcClient::QrpcClient(EventLoop* loop, TransportManager* transport, StableLog* log,
@@ -16,7 +50,9 @@ QrpcClient::QrpcClient(EventLoop* loop, TransportManager* transport, StableLog* 
     : loop_(loop), transport_(transport), log_(log), options_(options),
       pushback_budget_(options.pushback_budget_capacity,
                        options.pushback_budget_refill_per_sec) {
-  WireMetrics(&own_metrics_, "qrpc_client");
+  if (log_ != nullptr) {
+    stats_.log_bytes = static_cast<int64_t>(log_->TotalBytes());
+  }
   transport_->SetHandler(MessageType::kResponse,
                          [this](const Message& msg) { HandleResponse(msg); });
   if (!options_.failover_primary.empty() && !options_.failover_backup.empty()) {
@@ -38,75 +74,8 @@ QrpcClient::QrpcClient(EventLoop* loop, TransportManager* transport, StableLog* 
   }
 }
 
-void QrpcClient::WireMetrics(obs::Registry* registry, const std::string& prefix) {
-  c_calls_ = registry->counter(prefix + ".calls");
-  c_completed_ = registry->counter(prefix + ".completed");
-  c_recovered_ = registry->counter(prefix + ".recovered");
-  c_cancelled_ = registry->counter(prefix + ".cancelled");
-  c_deadline_exceeded_ = registry->counter(prefix + ".deadline_exceeded");
-  c_admission_rejected_ = registry->counter(prefix + ".admission_rejected");
-  c_background_shed_ = registry->counter(prefix + ".background_shed");
-  c_pushback_honored_ = registry->counter(prefix + ".pushback_honored");
-  c_pushback_exhausted_ = registry->counter(prefix + ".pushback_budget_exhausted");
-  c_coalesced_ = registry->counter(prefix + ".coalesced");
-  c_recovered_retries_ = registry->counter(prefix + ".recovered_retries");
-  c_storage_flush_failures_ = registry->counter(prefix + ".storage_flush_failures");
-  c_storage_refused_ = registry->counter(prefix + ".storage_refused");
-  c_storage_degraded_entered_ = registry->counter(prefix + ".storage_degraded_entered");
-  c_storage_quarantined_calls_ = registry->counter(prefix + ".storage_quarantined_calls");
-  c_failovers_ = registry->counter(prefix + ".failovers");
-  c_failover_redispatches_ = registry->counter(prefix + ".failover_redispatches");
-  g_storage_degraded_ = registry->gauge(prefix + ".storage_degraded");
-  g_log_bytes_ = registry->gauge(prefix + ".log_bytes");
-  h_rpc_seconds_ = registry->histogram(prefix + ".rpc_seconds");
-}
-
-void QrpcClient::BindMetrics(obs::Registry* registry, const std::string& prefix) {
-  const QrpcClientStats carried = stats();
-  WireMetrics(registry, prefix);
-  c_calls_->Increment(carried.calls);
-  c_completed_->Increment(carried.completed);
-  c_recovered_->Increment(carried.recovered);
-  c_cancelled_->Increment(carried.cancelled);
-  c_deadline_exceeded_->Increment(carried.deadline_exceeded);
-  c_admission_rejected_->Increment(carried.admission_rejected);
-  c_background_shed_->Increment(carried.background_shed);
-  c_pushback_honored_->Increment(carried.pushback_honored);
-  c_pushback_exhausted_->Increment(carried.pushback_budget_exhausted);
-  c_coalesced_->Increment(carried.coalesced);
-  c_recovered_retries_->Increment(carried.recovered_retries);
-  c_storage_flush_failures_->Increment(carried.storage_flush_failures);
-  c_storage_refused_->Increment(carried.storage_refused);
-  c_storage_degraded_entered_->Increment(carried.storage_degraded_entered);
-  c_storage_quarantined_calls_->Increment(carried.storage_quarantined_calls);
-  c_failovers_->Increment(carried.failovers);
-  c_failover_redispatches_->Increment(carried.failover_redispatches);
-  g_storage_degraded_->Set(storage_degraded_ ? 1 : 0);
-  if (log_ != nullptr) {
-    g_log_bytes_->Set(static_cast<int64_t>(log_->TotalBytes()));
-  }
-}
-
-QrpcClientStats QrpcClient::stats() const {
-  QrpcClientStats s;
-  s.calls = c_calls_->value();
-  s.completed = c_completed_->value();
-  s.recovered = c_recovered_->value();
-  s.cancelled = c_cancelled_->value();
-  s.deadline_exceeded = c_deadline_exceeded_->value();
-  s.admission_rejected = c_admission_rejected_->value();
-  s.background_shed = c_background_shed_->value();
-  s.pushback_honored = c_pushback_honored_->value();
-  s.pushback_budget_exhausted = c_pushback_exhausted_->value();
-  s.coalesced = c_coalesced_->value();
-  s.recovered_retries = c_recovered_retries_->value();
-  s.storage_flush_failures = c_storage_flush_failures_->value();
-  s.storage_refused = c_storage_refused_->value();
-  s.storage_degraded_entered = c_storage_degraded_entered_->value();
-  s.storage_quarantined_calls = c_storage_quarantined_calls_->value();
-  s.failovers = c_failovers_->value();
-  s.failover_redispatches = c_failover_redispatches_->value();
-  return s;
+void QrpcClient::BindMetrics(obs::Registry* registry) {
+  metrics_binding_ = registry->Bind(kClientMetrics, &stats_, {&rpc_seconds_});
 }
 
 const std::string& QrpcClient::ResolveDest(const std::string& dest) const {
@@ -123,7 +92,7 @@ size_t QrpcClient::TriggerFailover() {
   const bool first = !failover_engaged_;
   failover_engaged_ = true;
   if (first) {
-    c_failovers_->Increment();
+    ++stats_.failovers;
   }
   // Queued (never-transmitted) messages move wholesale, preserving order.
   const std::vector<uint64_t> rebound = transport_->scheduler()->RebindDestination(
@@ -149,7 +118,7 @@ size_t QrpcClient::TriggerFailover() {
     }
     QrpcCallOptions call_options;
     call_options.priority = it->second.priority;
-    c_failover_redispatches_->Increment();
+    ++stats_.failover_redispatches;
     Trace(id, obs::RpcEvent::kFailover);
     DispatchToScheduler(id, it->second.dest, it->second.body, call_options);
   }
@@ -247,7 +216,7 @@ bool QrpcClient::OverBudget(size_t record_size, bool logged) const {
 
 QrpcCall QrpcClient::Call(const std::string& dest, const std::string& method, RpcArgs args,
                           QrpcCallOptions call_options) {
-  c_calls_->Increment();
+  ++stats_.calls;
   QrpcCall call;
   call.rpc_id = next_rpc_id_++;
   Trace(call.rpc_id, obs::RpcEvent::kEnqueued);
@@ -279,7 +248,7 @@ QrpcCall QrpcClient::Call(const std::string& dest, const std::string& method, Rp
       }
     }
     if (OverBudget(record.size(), logged)) {
-      c_admission_rejected_->Increment();
+      ++stats_.admission_rejected;
       Trace(call.rpc_id, obs::RpcEvent::kShed);
       call.committed.Set(loop_->now());
       QrpcResult result;
@@ -299,7 +268,7 @@ QrpcCall QrpcClient::Call(const std::string& dest, const std::string& method, Rp
   // after truncation frees room clears the mode.
   if (logged && !log_->HasSpaceFor(record.size())) {
     EnterStorageDegraded();
-    c_storage_refused_->Increment();
+    ++stats_.storage_refused;
     Trace(call.rpc_id, obs::RpcEvent::kShed);
     call.committed.Set(loop_->now());
     QrpcResult result;
@@ -335,7 +304,7 @@ QrpcCall QrpcClient::Call(const std::string& dest, const std::string& method, Rp
 
   if (logged) {
     out.log_record_id = log_->Append(std::move(record));
-    g_log_bytes_->Set(static_cast<int64_t>(log_->TotalBytes()));
+    stats_.log_bytes = static_cast<int64_t>(log_->TotalBytes());
     Trace(call.rpc_id, obs::RpcEvent::kLogged);
   }
   outstanding_.emplace(call.rpc_id, std::move(out));
@@ -458,7 +427,7 @@ bool QrpcClient::TryCoalescePredecessor(const std::string& dest, const std::stri
       // record now, before the successor's record is durable.
       log_->RemoveRecord(pred.log_record_id);
       answered_log_records_.erase(pred.log_record_id);
-      g_log_bytes_->Set(static_cast<int64_t>(log_->TotalBytes()));
+      stats_.log_bytes = static_cast<int64_t>(log_->TotalBytes());
       if (!pred.call.committed.ready()) {
         pred.call.committed.Set(loop_->now());
       }
@@ -469,7 +438,7 @@ bool QrpcClient::TryCoalescePredecessor(const std::string& dest, const std::stri
     // Nothing durable at stake for an unlogged predecessor.
     pred.call.committed.Set(loop_->now());
   }
-  c_coalesced_->Increment();
+  ++stats_.coalesced;
   Trace(pred_id, obs::RpcEvent::kCoalesced);
   if (check_ != nullptr) {
     check_->OnCallCoalesced(self(), pred_id, successor.call.rpc_id);
@@ -503,7 +472,7 @@ void QrpcClient::ResolveCoalescedPreds(Outstanding& out) {
   }
   out.coalesced_preds.clear();
   if (log_ != nullptr) {
-    g_log_bytes_->Set(static_cast<int64_t>(log_->TotalBytes()));
+    stats_.log_bytes = static_cast<int64_t>(log_->TotalBytes());
   }
 }
 
@@ -521,7 +490,7 @@ void QrpcClient::HandleDeadline(uint64_t rpc_id) {
   if (out.log_record_id != 0 && log_ != nullptr) {
     log_->RemoveRecord(out.log_record_id);
     answered_log_records_.erase(out.log_record_id);
-    g_log_bytes_->Set(static_cast<int64_t>(log_->TotalBytes()));
+    stats_.log_bytes = static_cast<int64_t>(log_->TotalBytes());
     if (check_ != nullptr) {
       check_->OnCallWithdrawn(self(), rpc_id);
     }
@@ -530,7 +499,7 @@ void QrpcClient::HandleDeadline(uint64_t rpc_id) {
   // Coalesced predecessors resolve with this call's deadline error and
   // must likewise not be resent after a crash.
   ResolveCoalescedPreds(out);
-  c_deadline_exceeded_->Increment();
+  ++stats_.deadline_exceeded;
   Trace(rpc_id, obs::RpcEvent::kDeadlineExceeded);
   // Resolve both promises: a waiter on `committed` must not hang on a call
   // that exited the engine before its flush completed.
@@ -589,14 +558,14 @@ void QrpcClient::HandleSchedulerDrop(uint64_t rpc_id, const Status& status) {
   if (out.log_record_id != 0 && log_ != nullptr) {
     log_->RemoveRecord(out.log_record_id);
     answered_log_records_.erase(out.log_record_id);
-    g_log_bytes_->Set(static_cast<int64_t>(log_->TotalBytes()));
+    stats_.log_bytes = static_cast<int64_t>(log_->TotalBytes());
     if (check_ != nullptr) {
       check_->OnCallWithdrawn(self(), rpc_id);
     }
   }
   transport_->scheduler()->CancelMessage(ResolveDest(out.dest), rpc_id);
   ResolveCoalescedPreds(out);
-  c_background_shed_->Increment();
+  ++stats_.background_shed;
   Trace(rpc_id, obs::RpcEvent::kShed);
   if (!out.call.committed.ready()) {
     out.call.committed.Set(loop_->now());
@@ -613,7 +582,7 @@ void QrpcClient::HandleSchedulerDrop(uint64_t rpc_id, const Status& status) {
 }
 
 void QrpcClient::RetryRecoveredDispatch(uint64_t rpc_id) {
-  c_recovered_retries_->Increment();
+  ++stats_.recovered_retries;
   loop_->ScheduleAfter(
       options_.recovered_retry_backoff,
       [this, rpc_id, alive = std::weak_ptr<char>(alive_)] {
@@ -653,8 +622,8 @@ void QrpcClient::EnterStorageDegraded() {
     return;
   }
   storage_degraded_ = true;
-  c_storage_degraded_entered_->Increment();
-  g_storage_degraded_->Set(1);
+  ++stats_.storage_degraded_entered;
+  stats_.storage_degraded = 1;
 }
 
 void QrpcClient::MaybeClearStorageDegraded() {
@@ -662,7 +631,7 @@ void QrpcClient::MaybeClearStorageDegraded() {
     return;
   }
   storage_degraded_ = false;
-  g_storage_degraded_->Set(0);
+  stats_.storage_degraded = 0;
 }
 
 void QrpcClient::FailCallOnStorage(uint64_t rpc_id, const Status& status) {
@@ -681,7 +650,7 @@ void QrpcClient::FailCallOnStorage(uint64_t rpc_id, const Status& status) {
     // out of the log; RemoveRecord is a no-op in the latter case.
     log_->RemoveRecord(out.log_record_id);
     answered_log_records_.erase(out.log_record_id);
-    g_log_bytes_->Set(static_cast<int64_t>(log_->TotalBytes()));
+    stats_.log_bytes = static_cast<int64_t>(log_->TotalBytes());
   }
   transport_->scheduler()->CancelMessage(ResolveDest(out.dest), rpc_id);
   // Predecessors this call coalesced resolve with its storage error, the
@@ -705,7 +674,7 @@ void QrpcClient::FailCallOnStorage(uint64_t rpc_id, const Status& status) {
 }
 
 void QrpcClient::HandleFlushFailure(uint64_t rpc_id, const Status& status) {
-  c_storage_flush_failures_->Increment();
+  ++stats_.storage_flush_failures;
   if (status.code() == StatusCode::kResourceExhausted) {
     EnterStorageDegraded();
   }
@@ -727,7 +696,7 @@ size_t QrpcClient::FailQuarantinedRecords(const std::vector<uint64_t>& log_recor
     if (!found) {
       continue;  // no live call backed by this record (e.g. crash recovery)
     }
-    c_storage_quarantined_calls_->Increment();
+    ++stats_.storage_quarantined_calls;
     FailCallOnStorage(rpc_id,
                       DataLossError("stable log record quarantined (bit rot)"));
     ++failed;
@@ -779,7 +748,7 @@ bool QrpcClient::MaybeHonorPushback(const Message& msg, const RpcResponseBody& b
   }
   if (!pushback_budget_.enabled() || !pushback_budget_.TryConsume(loop_->now())) {
     if (pushback_budget_.enabled()) {
-      c_pushback_exhausted_->Increment();
+      ++stats_.pushback_budget_exhausted;
     }
     return false;  // server keeps refusing; let the caller see kUnavailable
   }
@@ -803,7 +772,7 @@ bool QrpcClient::MaybeHonorPushback(const Message& msg, const RpcResponseBody& b
   if (body.server_epoch > 0) {
     ObserveServerEpoch(msg.header.src, body.server_epoch);
   }
-  c_pushback_honored_->Increment();
+  ++stats_.pushback_honored;
   Trace(rpc_id, obs::RpcEvent::kPushback);
   auto parsed_ptr = std::make_shared<ParsedLogRecord>(std::move(*parsed));
   loop_->ScheduleAfter(retry_after,
@@ -852,8 +821,8 @@ void QrpcClient::HandleResponse(const Message& msg) {
   if (body.ok() && body->server_epoch > 0) {
     ObserveServerEpoch(msg.header.src, body->server_epoch);
   }
-  c_completed_->Increment();
-  h_rpc_seconds_->Observe((result.completed_at - out.issued_at).seconds());
+  ++stats_.completed;
+  rpc_seconds_.Observe((result.completed_at - out.issued_at).seconds());
   Trace(rpc_id, obs::RpcEvent::kResponded);
   if (out.log_record_id != 0) {
     answered_log_records_.insert(out.log_record_id);
@@ -878,7 +847,7 @@ void QrpcClient::MaybeTruncateLog() {
     log_->Truncate(front);
     front = log_->FrontRecordId();
   }
-  g_log_bytes_->Set(static_cast<int64_t>(log_->TotalBytes()));
+  stats_.log_bytes = static_cast<int64_t>(log_->TotalBytes());
   // Truncation returns device space: a full disk heals as responses drain.
   MaybeClearStorageDegraded();
 }
@@ -897,14 +866,14 @@ bool QrpcClient::Cancel(uint64_t rpc_id) {
   if (out.log_record_id != 0 && log_ != nullptr) {
     log_->RemoveRecord(out.log_record_id);
     answered_log_records_.erase(out.log_record_id);
-    g_log_bytes_->Set(static_cast<int64_t>(log_->TotalBytes()));
+    stats_.log_bytes = static_cast<int64_t>(log_->TotalBytes());
     if (check_ != nullptr) {
       check_->OnCallWithdrawn(self(), rpc_id);
     }
   }
   transport_->scheduler()->CancelMessage(ResolveDest(out.dest), rpc_id);
   ResolveCoalescedPreds(out);
-  c_cancelled_->Increment();
+  ++stats_.cancelled;
   Trace(rpc_id, obs::RpcEvent::kCancelled);
   if (!out.call.committed.ready()) {
     out.call.committed.Set(loop_->now());  // left the engine pre-commit
@@ -971,7 +940,7 @@ size_t QrpcClient::RecoverFromLog() {
     resent_ids.push_back(parsed->rpc_id);
     resends.push_back(std::move(*parsed));
   }
-  g_log_bytes_->Set(static_cast<int64_t>(log_->TotalBytes()));
+  stats_.log_bytes = static_cast<int64_t>(log_->TotalBytes());
   // Announce the full recovery set before the first re-dispatch: a dispatch
   // can fail synchronously under queue pressure, and any observer must
   // already know those ids belong to the new incarnation.
@@ -982,7 +951,7 @@ size_t QrpcClient::RecoverFromLog() {
     Trace(parsed.rpc_id, obs::RpcEvent::kRecovered);
     DispatchToScheduler(parsed.rpc_id, parsed.dest, std::move(parsed.body),
                         parsed.call_options);
-    c_recovered_->Increment();
+    ++stats_.recovered;
   }
   return resends.size();
 }
@@ -990,47 +959,12 @@ size_t QrpcClient::RecoverFromLog() {
 QrpcServer::QrpcServer(EventLoop* loop, TransportManager* transport,
                        QrpcServerOptions options)
     : loop_(loop), transport_(transport), options_(options) {
-  WireMetrics(&own_metrics_, "qrpc_server");
   transport_->SetHandler(MessageType::kRequest,
                          [this](const Message& msg) { HandleRequest(msg); });
 }
 
-void QrpcServer::WireMetrics(obs::Registry* registry, const std::string& prefix) {
-  c_requests_ = registry->counter(prefix + ".requests");
-  c_duplicates_ = registry->counter(prefix + ".duplicates");
-  c_unknown_methods_ = registry->counter(prefix + ".unknown_methods");
-  c_auth_failures_ = registry->counter(prefix + ".auth_failures");
-  c_duplicate_cache_decode_failures_ =
-      registry->counter(prefix + ".duplicate_cache_decode_failures");
-  c_requests_rejected_ = registry->counter(prefix + ".requests_rejected");
-  c_requests_rejected_storage_ =
-      registry->counter(prefix + ".requests_rejected_storage");
-  g_inflight_requests_ = registry->gauge(prefix + ".inflight_requests");
-}
-
-void QrpcServer::BindMetrics(obs::Registry* registry, const std::string& prefix) {
-  const QrpcServerStats carried = stats();
-  WireMetrics(registry, prefix);
-  c_requests_->Increment(carried.requests);
-  c_duplicates_->Increment(carried.duplicates);
-  c_unknown_methods_->Increment(carried.unknown_methods);
-  c_auth_failures_->Increment(carried.auth_failures);
-  c_duplicate_cache_decode_failures_->Increment(carried.duplicate_cache_decode_failures);
-  c_requests_rejected_->Increment(carried.requests_rejected);
-  c_requests_rejected_storage_->Increment(carried.requests_rejected_storage);
-  g_inflight_requests_->Set(static_cast<int64_t>(in_progress_.size()));
-}
-
-QrpcServerStats QrpcServer::stats() const {
-  QrpcServerStats s;
-  s.requests = c_requests_->value();
-  s.duplicates = c_duplicates_->value();
-  s.unknown_methods = c_unknown_methods_->value();
-  s.auth_failures = c_auth_failures_->value();
-  s.duplicate_cache_decode_failures = c_duplicate_cache_decode_failures_->value();
-  s.requests_rejected = c_requests_rejected_->value();
-  s.requests_rejected_storage = c_requests_rejected_storage_->value();
-  return s;
+void QrpcServer::BindMetrics(obs::Registry* registry) {
+  metrics_binding_ = registry->Bind(kServerMetrics, &stats_);
 }
 
 bool QrpcServer::CorruptCachedResponseForTest(const std::string& client, uint64_t rpc_id) {
@@ -1106,10 +1040,10 @@ void QrpcServer::SendResponse(const std::string& dst, uint64_t rpc_id, Priority 
 }
 
 void QrpcServer::HandleRequest(const Message& msg) {
-  c_requests_->Increment();
+  ++stats_.requests;
   if (!options_.accepted_tokens.empty() &&
       options_.accepted_tokens.count(msg.header.auth) == 0) {
-    c_auth_failures_->Increment();
+    ++stats_.auth_failures;
     RpcResponseBody body;
     body.code = StatusCode::kPermissionDenied;
     body.error_message = "request not authenticated";
@@ -1126,7 +1060,7 @@ void QrpcServer::HandleRequest(const Message& msg) {
   // in-progress one is dropped (its response is already on the way).
   auto done_it = done_.find(lookup);
   if (done_it != done_.end()) {
-    c_duplicates_->Increment();
+    ++stats_.duplicates;
     if (undurable_responses_.count(lookup) > 0) {
       // The entry's response journal has not reported durable yet: a crash
       // could still lose the transaction this response acknowledges, so a
@@ -1147,7 +1081,7 @@ void QrpcServer::HandleRequest(const Message& msg) {
       // The cached bytes are corrupt. Replying with a default-constructed
       // body would tell the client "OK, empty result" for a request whose
       // real outcome is unknown -- report the loss honestly instead.
-      c_duplicate_cache_decode_failures_->Increment();
+      ++stats_.duplicate_cache_decode_failures;
       RpcResponseBody body;
       body.code = StatusCode::kDataLoss;
       body.error_message = "duplicate-response cache entry corrupt";
@@ -1160,7 +1094,7 @@ void QrpcServer::HandleRequest(const Message& msg) {
     return;
   }
   if (in_progress_.count(lookup) > 0) {
-    c_duplicates_->Increment();
+    ++stats_.duplicates;
     return;
   }
 
@@ -1171,7 +1105,7 @@ void QrpcServer::HandleRequest(const Message& msg) {
   // the cache even under overload: a replay costs no handler execution.
   if (options_.max_concurrent_requests > 0 &&
       in_progress_.size() >= options_.max_concurrent_requests) {
-    c_requests_rejected_->Increment();
+    ++stats_.requests_rejected;
     const Duration hint =
         options_.pushback_retry_after +
         options_.dispatch_cost * static_cast<double>(in_progress_.size());
@@ -1190,8 +1124,8 @@ void QrpcServer::HandleRequest(const Message& msg) {
   // mutation whose transaction could not be made durable. Duplicates were
   // already answered above; replays cost no WAL write.
   if (storage_degraded_) {
-    c_requests_rejected_->Increment();
-    c_requests_rejected_storage_->Increment();
+    ++stats_.requests_rejected;
+    ++stats_.requests_rejected_storage;
     RpcResponseBody body;
     body.code = StatusCode::kUnavailable;
     body.error_message = "server storage degraded (WAL device full)";
@@ -1220,7 +1154,7 @@ void QrpcServer::HandleRequest(const Message& msg) {
     handler = &default_handler_;
   }
   if (handler == nullptr) {
-    c_unknown_methods_->Increment();
+    ++stats_.unknown_methods;
     RpcResponseBody body;
     body.code = StatusCode::kUnimplemented;
     body.error_message = "no handler for method " + request->method;
@@ -1232,7 +1166,7 @@ void QrpcServer::HandleRequest(const Message& msg) {
   // The request executes: now build the owning key that outlives the header.
   const ClientRpcKey key = std::make_pair(msg.header.src, msg.header.message_id);
   in_progress_.insert(key);
-  g_inflight_requests_->Set(static_cast<int64_t>(in_progress_.size()));
+  stats_.inflight_requests = static_cast<int64_t>(in_progress_.size());
   const std::string src = msg.header.src;
   const uint64_t rpc_id = msg.header.message_id;
   const Priority priority = msg.header.priority;
@@ -1243,7 +1177,7 @@ void QrpcServer::HandleRequest(const Message& msg) {
       return;  // handler outlived the server (simulated crash)
     }
     in_progress_.erase(key);
-    g_inflight_requests_->Set(static_cast<int64_t>(in_progress_.size()));
+    stats_.inflight_requests = static_cast<int64_t>(in_progress_.size());
     // Cached/journaled without an epoch stamp. One allocation: the cache
     // entry and the journal's copy share it by refcount.
     Buffer encoded(body.Encode());

@@ -114,7 +114,6 @@ struct QrpcClientOptions {
   std::string failover_backup;
 };
 
-// Snapshot assembled from the metrics registry (see stats()).
 struct QrpcClientStats {
   uint64_t calls = 0;
   uint64_t completed = 0;
@@ -133,6 +132,9 @@ struct QrpcClientStats {
   uint64_t storage_quarantined_calls = 0;  // calls failed by record quarantine
   uint64_t failovers = 0;  // times the primary->backup route engaged
   uint64_t failover_redispatches = 0;  // in-flight calls re-sent to the backup
+  // Gauges.
+  int64_t storage_degraded = 0;  // 1 while logged calls are refused
+  int64_t log_bytes = 0;         // stable-log byte budget occupancy
 };
 
 // Handle returned by Call(). Both promises resolve on the event loop.
@@ -185,9 +187,9 @@ class QrpcClient {
   // longer exists. Returns how many calls were failed.
   size_t FailQuarantinedRecords(const std::vector<uint64_t>& log_record_ids);
 
-  // Re-homes the client's instruments into `registry` under "<prefix>."
-  // names, carrying current values over.
-  void BindMetrics(obs::Registry* registry, const std::string& prefix = "qrpc_client");
+  // Exposes stats() through `registry` as "qrpc_client.*", with the
+  // Call()-to-response latency histogram beside them.
+  void BindMetrics(obs::Registry* registry);
 
   // Records the per-RPC lifecycle span (enqueued/logged/flushed/responded;
   // the network scheduler contributes transmitted events).
@@ -200,8 +202,7 @@ class QrpcClient {
   // Rpc ids of every call awaiting a response.
   std::vector<uint64_t> OutstandingIds() const;
 
-  // Snapshot adapter over the registry counters (kept for existing callers).
-  QrpcClientStats stats() const;
+  const QrpcClientStats& stats() const { return stats_; }
 
   // The rpc-id counter is part of the client's durable identity: a host
   // that restarts under the same name MUST resume past its previously
@@ -327,7 +328,6 @@ class QrpcClient {
   // engaged and `dest` is the (logical) primary, otherwise `dest` itself.
   const std::string& ResolveDest(const std::string& dest) const;
   void MaybeTruncateLog();
-  void WireMetrics(obs::Registry* registry, const std::string& prefix);
   void Trace(uint64_t rpc_id, obs::RpcEvent event);
   const std::string& self() const { return transport_->local_host(); }
 
@@ -361,30 +361,12 @@ class QrpcClient {
   // already in the loop.
   std::shared_ptr<char> alive_ = std::make_shared<char>(0);
 
-  obs::Registry own_metrics_;  // used until BindMetrics() points elsewhere
   obs::RpcTracer* tracer_ = nullptr;
   obs::CheckListener* check_ = nullptr;
-  obs::Counter* c_calls_ = nullptr;
-  obs::Counter* c_completed_ = nullptr;
-  obs::Counter* c_recovered_ = nullptr;
-  obs::Counter* c_cancelled_ = nullptr;
-  obs::Counter* c_deadline_exceeded_ = nullptr;
-  obs::Counter* c_admission_rejected_ = nullptr;
-  obs::Counter* c_background_shed_ = nullptr;
-  obs::Counter* c_pushback_honored_ = nullptr;
-  obs::Counter* c_pushback_exhausted_ = nullptr;
-  obs::Counter* c_coalesced_ = nullptr;
-  obs::Counter* c_recovered_retries_ = nullptr;
-  obs::Counter* c_storage_flush_failures_ = nullptr;
-  obs::Counter* c_storage_refused_ = nullptr;
-  obs::Counter* c_storage_degraded_entered_ = nullptr;
-  obs::Counter* c_storage_quarantined_calls_ = nullptr;
-  obs::Counter* c_failovers_ = nullptr;
-  obs::Counter* c_failover_redispatches_ = nullptr;
-  obs::Gauge* g_storage_degraded_ = nullptr;
   bool storage_degraded_ = false;
-  obs::Gauge* g_log_bytes_ = nullptr;  // stable-log byte budget occupancy
-  obs::Histogram* h_rpc_seconds_ = nullptr;  // Call() -> response matched
+  QrpcClientStats stats_;
+  obs::Histogram rpc_seconds_;  // Call() -> response matched
+  obs::Binding metrics_binding_;
 };
 
 struct QrpcServerOptions {
@@ -405,7 +387,6 @@ struct QrpcServerOptions {
   Duration pushback_retry_after = Duration::Millis(500);
 };
 
-// Snapshot assembled from the metrics registry (see stats()).
 struct QrpcServerStats {
   uint64_t requests = 0;
   uint64_t duplicates = 0;
@@ -416,6 +397,7 @@ struct QrpcServerStats {
   uint64_t duplicate_cache_decode_failures = 0;
   uint64_t requests_rejected = 0;  // refused with kUnavailable + retry-after
   uint64_t requests_rejected_storage = 0;  // refused while WAL space recovers
+  int64_t inflight_requests = 0;  // gauge: requests executing right now
 };
 
 class QrpcServer {
@@ -471,12 +453,10 @@ class QrpcServer {
   // invariant checker. Null disables (the default).
   void SetCheckListener(obs::CheckListener* listener) { check_ = listener; }
 
-  // Re-homes the server's instruments into `registry` under "<prefix>."
-  // names, carrying current values over.
-  void BindMetrics(obs::Registry* registry, const std::string& prefix = "qrpc_server");
+  // Exposes stats() through `registry` as "qrpc_server.*".
+  void BindMetrics(obs::Registry* registry);
 
-  // Snapshot adapter over the registry counters (kept for existing callers).
-  QrpcServerStats stats() const;
+  const QrpcServerStats& stats() const { return stats_; }
 
   // Damages the cached response for (client, rpc_id) in place, as stable-
   // storage corruption would. Returns false when no entry exists. Test-only.
@@ -513,7 +493,6 @@ class QrpcServer {
   void HandleRequest(const Message& msg);
   void SendResponse(const std::string& dst, uint64_t rpc_id, Priority priority,
                     const std::string& reply_via, RpcResponseBody body);
-  void WireMetrics(obs::Registry* registry, const std::string& prefix);
   void EvictDupCacheOverflow();
   const std::string& self() const { return transport_->local_host(); }
 
@@ -528,16 +507,8 @@ class QrpcServer {
   // weak_ptr to this token so a server destroyed by a simulated crash
   // cannot be touched by callbacks that outlive it.
   std::shared_ptr<char> alive_ = std::make_shared<char>(0);
-  obs::Registry own_metrics_;  // used until BindMetrics() points elsewhere
   obs::CheckListener* check_ = nullptr;
-  obs::Counter* c_requests_ = nullptr;
-  obs::Counter* c_duplicates_ = nullptr;
-  obs::Counter* c_unknown_methods_ = nullptr;
-  obs::Counter* c_auth_failures_ = nullptr;
-  obs::Counter* c_duplicate_cache_decode_failures_ = nullptr;
-  obs::Counter* c_requests_rejected_ = nullptr;
-  obs::Counter* c_requests_rejected_storage_ = nullptr;
-  obs::Gauge* g_inflight_requests_ = nullptr;
+  QrpcServerStats stats_;
   bool storage_degraded_ = false;
   std::map<std::string, Handler> handlers_;
   Handler default_handler_;
@@ -554,6 +525,7 @@ class QrpcServer {
   // once the entry is durable. Entries leave via the journal release; a
   // crash discards the whole set with the rest of process state.
   std::set<ClientRpcKey, ClientRpcKeyLess> undurable_responses_;
+  obs::Binding metrics_binding_;
 };
 
 }  // namespace rover

@@ -3,11 +3,26 @@
 #include <algorithm>
 
 namespace rover {
+namespace {
+
+const obs::Schema<StableDeviceStats> kMetrics(
+    "stable_device", {{"writes_ok", &StableDeviceStats::writes_ok},
+                      {"transient_errors", &StableDeviceStats::transient_errors},
+                      {"no_space_errors", &StableDeviceStats::no_space_errors},
+                      {"sync_failures", &StableDeviceStats::sync_failures},
+                      {"bitrot_injected", &StableDeviceStats::bitrot_injected},
+                      {"repairs", &StableDeviceStats::repairs}});
+
+}  // namespace
 
 StableDevice::StableDevice(DiskFaultOptions options)
     : options_(options),
       rng_(options.seed ^ 0x5d3ab1ed0d0e51ceULL),
       capacity_bytes_(options.capacity_bytes) {}
+
+void StableDevice::BindMetrics(obs::Registry* registry) {
+  metrics_binding_ = registry->Bind(kMetrics, &stats_);
+}
 
 bool StableDevice::HasSpaceFor(size_t bytes) const {
   if (capacity_bytes_ == 0) {

@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "src/obs/metrics.h"
 #include "src/util/rng.h"
 
 namespace rover {
@@ -106,6 +107,8 @@ class StableDevice {
   size_t used_bytes() const { return used_bytes_; }
   size_t capacity_bytes() const { return capacity_bytes_; }
   const StableDeviceStats& stats() const { return stats_; }
+  // Exposes stats() through `registry` as "stable_device.*".
+  void BindMetrics(obs::Registry* registry);
 
  private:
   DiskFaultOptions options_;
@@ -116,6 +119,7 @@ class StableDevice {
   bool sync_failed_ = false;
   uint64_t writes_attempted_ = 0;
   StableDeviceStats stats_;
+  obs::Binding metrics_binding_;
 };
 
 }  // namespace rover

@@ -12,7 +12,29 @@
 namespace rover {
 
 namespace {
+
 constexpr size_t kRecordFraming = 16;  // id + length + crc framing bytes
+
+const obs::Schema<StableLogStats> kMetrics(
+    "stable_log",
+    {{"appends", &StableLogStats::appends},
+     {"flushes", &StableLogStats::flushes},
+     {"bytes_flushed", &StableLogStats::bytes_flushed},
+     {"flush_time_micros", &StableLogStats::flush_time_micros},
+     {"raw_bytes_appended", &StableLogStats::raw_bytes_appended},
+     {"stored_bytes_appended", &StableLogStats::stored_bytes_appended},
+     {"records_compressed", &StableLogStats::records_compressed},
+     {"flush_transient_errors", &StableLogStats::flush_transient_errors},
+     {"flush_retries", &StableLogStats::flush_retries},
+     {"flush_failures", &StableLogStats::flush_failures},
+     {"flush_enospc", &StableLogStats::flush_enospc},
+     {"flush_sync_failures", &StableLogStats::flush_sync_failures},
+     {"records_quarantined", &StableLogStats::records_quarantined},
+     {"torn_tail_records_dropped", &StableLogStats::torn_tail_records_dropped},
+     {"compression_ratio_pct", &StableLogStats::compression_ratio_pct},
+     {"device_used_bytes", &StableLogStats::device_used_bytes}},
+    {"flush_seconds"});
+
 }  // namespace
 
 StableLog::StableLog(EventLoop* loop, StableLogCostModel cost_model,
@@ -22,78 +44,19 @@ StableLog::StableLog(EventLoop* loop, StableLogCostModel cost_model,
       device_(disk_faults),
       flush_backoff_(cost_model.flush_retry_base, cost_model.flush_retry_max,
                      disk_faults.seed ^ 0xf1005bacc0ffULL) {
-  WireMetrics(&own_metrics_, "stable_log");
+  stats_.device_used_bytes = static_cast<int64_t>(device_.used_bytes());
 }
 
-void StableLog::WireMetrics(obs::Registry* registry, const std::string& prefix) {
-  c_appends_ = registry->counter(prefix + ".appends");
-  c_flushes_ = registry->counter(prefix + ".flushes");
-  c_bytes_flushed_ = registry->counter(prefix + ".bytes_flushed");
-  c_flush_time_micros_ = registry->counter(prefix + ".flush_time_micros");
-  c_raw_bytes_appended_ = registry->counter(prefix + ".raw_bytes_appended");
-  c_stored_bytes_appended_ = registry->counter(prefix + ".stored_bytes_appended");
-  c_records_compressed_ = registry->counter(prefix + ".records_compressed");
-  c_flush_transient_errors_ = registry->counter(prefix + ".flush_transient_errors");
-  c_flush_retries_ = registry->counter(prefix + ".flush_retries");
-  c_flush_failures_ = registry->counter(prefix + ".flush_failures");
-  c_flush_enospc_ = registry->counter(prefix + ".flush_enospc");
-  c_flush_sync_failures_ = registry->counter(prefix + ".flush_sync_failures");
-  c_records_quarantined_ = registry->counter(prefix + ".records_quarantined");
-  c_torn_tail_dropped_ = registry->counter(prefix + ".torn_tail_records_dropped");
-  g_compression_ratio_pct_ = registry->gauge(prefix + ".compression_ratio_pct");
-  g_device_used_bytes_ = registry->gauge(prefix + ".device_used_bytes");
-  h_flush_seconds_ = registry->histogram(prefix + ".flush_seconds");
-}
-
-void StableLog::BindMetrics(obs::Registry* registry, const std::string& prefix) {
-  const StableLogStats carried = stats();
-  const uint64_t raw_bytes = c_raw_bytes_appended_->value();
-  const uint64_t stored_bytes = c_stored_bytes_appended_->value();
-  const uint64_t compressed = c_records_compressed_->value();
-  const int64_t ratio = g_compression_ratio_pct_->value();
-  WireMetrics(registry, prefix);
-  c_appends_->Increment(carried.appends);
-  c_flushes_->Increment(carried.flushes);
-  c_bytes_flushed_->Increment(carried.bytes_flushed);
-  c_flush_time_micros_->Increment(static_cast<uint64_t>(carried.flush_time_total.micros()));
-  c_raw_bytes_appended_->Increment(raw_bytes);
-  c_stored_bytes_appended_->Increment(stored_bytes);
-  c_records_compressed_->Increment(compressed);
-  c_flush_transient_errors_->Increment(carried.flush_transient_errors);
-  c_flush_retries_->Increment(carried.flush_retries);
-  c_flush_failures_->Increment(carried.flush_failures);
-  c_flush_enospc_->Increment(carried.flush_enospc);
-  c_flush_sync_failures_->Increment(carried.flush_sync_failures);
-  c_records_quarantined_->Increment(carried.records_quarantined);
-  c_torn_tail_dropped_->Increment(carried.torn_tail_records_dropped);
-  g_compression_ratio_pct_->Set(ratio);
-  g_device_used_bytes_->Set(static_cast<int64_t>(device_.used_bytes()));
-}
-
-StableLogStats StableLog::stats() const {
-  StableLogStats s;
-  s.appends = c_appends_->value();
-  s.flushes = c_flushes_->value();
-  s.bytes_flushed = c_bytes_flushed_->value();
-  s.flush_time_total = Duration::Micros(static_cast<int64_t>(c_flush_time_micros_->value()));
-  s.raw_bytes_appended = c_raw_bytes_appended_->value();
-  s.stored_bytes_appended = c_stored_bytes_appended_->value();
-  s.records_compressed = c_records_compressed_->value();
-  s.flush_transient_errors = c_flush_transient_errors_->value();
-  s.flush_retries = c_flush_retries_->value();
-  s.flush_failures = c_flush_failures_->value();
-  s.flush_enospc = c_flush_enospc_->value();
-  s.flush_sync_failures = c_flush_sync_failures_->value();
-  s.records_quarantined = c_records_quarantined_->value();
-  s.torn_tail_records_dropped = c_torn_tail_dropped_->value();
-  return s;
+void StableLog::BindMetrics(obs::Registry* registry) {
+  device_.BindMetrics(registry);
+  metrics_binding_ = registry->Bind(kMetrics, &stats_, {&flush_seconds_});
 }
 
 void StableLog::ChargeWrite(size_t bytes, Duration cost) {
-  c_flushes_->Increment();
-  c_bytes_flushed_->Increment(bytes);
-  c_flush_time_micros_->Increment(static_cast<uint64_t>(cost.micros()));
-  h_flush_seconds_->Observe(cost.seconds());
+  ++stats_.flushes;
+  stats_.bytes_flushed += bytes;
+  stats_.flush_time_micros += static_cast<uint64_t>(cost.micros());
+  flush_seconds_.Observe(cost.seconds());
 }
 
 size_t StableLog::PendingStoredBytes() const {
@@ -120,7 +83,7 @@ uint64_t StableLog::Append(Buffer data) {
     if (packed.size() < data.size()) {
       rec.compressed = true;
       rec.data = std::move(packed);
-      c_records_compressed_->Increment();
+      ++stats_.records_compressed;
     }
   }
   if (!rec.compressed) {
@@ -131,14 +94,14 @@ uint64_t StableLog::Append(Buffer data) {
   rec.crc = Crc32(rec.data.data(), rec.data.size());
   rec.durable = false;
   total_bytes_ += rec.data.size();
-  c_raw_bytes_appended_->Increment(rec.raw_size);
-  c_stored_bytes_appended_->Increment(rec.data.size());
-  if (const uint64_t raw = c_raw_bytes_appended_->value(); raw > 0) {
-    g_compression_ratio_pct_->Set(
-        static_cast<int64_t>(100 * c_stored_bytes_appended_->value() / raw));
+  stats_.raw_bytes_appended += rec.raw_size;
+  stats_.stored_bytes_appended += rec.data.size();
+  if (const uint64_t raw = stats_.raw_bytes_appended; raw > 0) {
+    stats_.compression_ratio_pct =
+        static_cast<int64_t>(100 * stats_.stored_bytes_appended / raw);
   }
   records_.push_back(std::move(rec));
-  c_appends_->Increment();
+  ++stats_.appends;
   return records_.back().id;
 }
 
@@ -245,10 +208,10 @@ void StableLog::ScheduleAttempt(std::shared_ptr<WriteJob> job) {
   // their callback re-enter them from inside Flush().
   Status precheck = Status::Ok();
   if (device_.sync_failed()) {
-    c_flush_sync_failures_->Increment();
+    ++stats_.flush_sync_failures;
     precheck = DataLossError("stable device: sync permanently failed");
   } else if (!device_.HasSpaceFor(job->bytes)) {
-    c_flush_enospc_->Increment();
+    ++stats_.flush_enospc;
     precheck = ResourceExhaustedError("stable device: out of space");
   }
   if (!precheck.ok()) {
@@ -280,14 +243,14 @@ void StableLog::ScheduleAttempt(std::shared_ptr<WriteJob> job) {
         CompleteWrite(job, Status::Ok());
         return;
       case StableDevice::WriteOutcome::kTransientError: {
-        c_flush_transient_errors_->Increment();
+        ++stats_.flush_transient_errors;
         if (job->attempt >= cost_model_.flush_max_retries) {
           CompleteWrite(job, UnavailableError(
                                  "stable device: flush retries exhausted"));
           return;
         }
         ++job->attempt;
-        c_flush_retries_->Increment();
+        ++stats_.flush_retries;
         const Duration delay = flush_backoff_.Next();
         if (!job->group) {
           flush_busy_until_ = std::max(flush_busy_until_, loop_->now() + delay);
@@ -301,11 +264,11 @@ void StableLog::ScheduleAttempt(std::shared_ptr<WriteJob> job) {
         return;
       }
       case StableDevice::WriteOutcome::kNoSpace:
-        c_flush_enospc_->Increment();
+        ++stats_.flush_enospc;
         CompleteWrite(job, ResourceExhaustedError("stable device: out of space"));
         return;
       case StableDevice::WriteOutcome::kSyncFailed:
-        c_flush_sync_failures_->Increment();
+        ++stats_.flush_sync_failures;
         CompleteWrite(job, DataLossError("stable device: sync permanently failed"));
         return;
     }
@@ -325,7 +288,7 @@ void StableLog::MarkDurable(const WriteJob& job) {
       }
     }
   }
-  g_device_used_bytes_->Set(static_cast<int64_t>(device_.used_bytes()));
+  stats_.device_used_bytes = static_cast<int64_t>(device_.used_bytes());
   flush_backoff_.Reset();
 }
 
@@ -339,7 +302,7 @@ void StableLog::CompleteWrite(const std::shared_ptr<WriteJob>& job,
     }
   }
   if (!status.ok()) {
-    c_flush_failures_->Increment();
+    ++stats_.flush_failures;
     if (status.code() == StatusCode::kDataLoss && fail_stop_handler_) {
       // Permanent sync failure: hand control to the node's fail-stop policy
       // (crash + device replacement). Deduplication happens there -- the
@@ -376,7 +339,7 @@ void StableLog::Truncate(uint64_t up_to_id) {
     }
     records_.pop_front();
   }
-  g_device_used_bytes_->Set(static_cast<int64_t>(device_.used_bytes()));
+  stats_.device_used_bytes = static_cast<int64_t>(device_.used_bytes());
 }
 
 bool StableLog::RemoveRecord(uint64_t id) {
@@ -387,7 +350,7 @@ bool StableLog::RemoveRecord(uint64_t id) {
         device_.Release(it->data.size() + kRecordFraming);
       }
       records_.erase(it);
-      g_device_used_bytes_->Set(static_cast<int64_t>(device_.used_bytes()));
+      stats_.device_used_bytes = static_cast<int64_t>(device_.used_bytes());
       return true;
     }
   }
@@ -488,10 +451,10 @@ StableLog::RecoveryReport StableLog::RecoverWithReport() {
     device_.Release(durable[i].data.size() + kRecordFraming);
     if (last_valid != durable.size() && i < last_valid) {
       report.quarantined.push_back(durable[i].id);
-      c_records_quarantined_->Increment();
+      ++stats_.records_quarantined;
     } else {
       ++report.torn_tail_dropped;
-      c_torn_tail_dropped_->Increment();
+      ++stats_.torn_tail_records_dropped;
     }
   }
   records_ = std::move(out);
@@ -499,7 +462,7 @@ StableLog::RecoveryReport StableLog::RecoverWithReport() {
   for (const Record& rec : records_) {
     total_bytes_ += rec.data.size();
   }
-  g_device_used_bytes_->Set(static_cast<int64_t>(device_.used_bytes()));
+  stats_.device_used_bytes = static_cast<int64_t>(device_.used_bytes());
   report.valid = records_.size();
   return report;
 }
@@ -512,7 +475,7 @@ StableLog::ScrubReport StableLog::Scrub() {
       ++report.scanned;
       if (Crc32(rec.data.data(), rec.data.size()) != rec.crc) {
         report.quarantined.push_back(rec.id);
-        c_records_quarantined_->Increment();
+        ++stats_.records_quarantined;
         device_.Release(rec.data.size() + kRecordFraming);
         total_bytes_ -= rec.data.size();
         continue;
@@ -521,7 +484,7 @@ StableLog::ScrubReport StableLog::Scrub() {
     out.push_back(std::move(rec));
   }
   records_ = std::move(out);
-  g_device_used_bytes_->Set(static_cast<int64_t>(device_.used_bytes()));
+  stats_.device_used_bytes = static_cast<int64_t>(device_.used_bytes());
   return report;
 }
 

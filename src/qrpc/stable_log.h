@@ -64,12 +64,11 @@ struct StableLogCostModel {
   }
 };
 
-// Snapshot assembled from the metrics registry (see stats()).
 struct StableLogStats {
   uint64_t appends = 0;
   uint64_t flushes = 0;
   uint64_t bytes_flushed = 0;
-  Duration flush_time_total;
+  uint64_t flush_time_micros = 0;      // simulated device time charged
   uint64_t raw_bytes_appended = 0;     // payload bytes before compression
   uint64_t stored_bytes_appended = 0;  // bytes the device actually holds
   uint64_t records_compressed = 0;
@@ -80,6 +79,9 @@ struct StableLogStats {
   uint64_t flush_sync_failures = 0;     // flushes failed by a dead sync
   uint64_t records_quarantined = 0;     // interior-corrupt records removed
   uint64_t torn_tail_records_dropped = 0;
+  // Gauges.
+  int64_t compression_ratio_pct = 0;  // stored / raw bytes appended, percent
+  int64_t device_used_bytes = 0;
 };
 
 class StableLog {
@@ -211,12 +213,11 @@ class StableLog {
   StableDevice* device() { return &device_; }
   const StableDevice* device() const { return &device_; }
 
-  // Re-homes the log's instruments into `registry` under "<prefix>." names,
-  // carrying current values over.
-  void BindMetrics(obs::Registry* registry, const std::string& prefix = "stable_log");
+  // Exposes stats() through `registry` as "stable_log.*", and the device's
+  // as "stable_device.*".
+  void BindMetrics(obs::Registry* registry);
 
-  // Snapshot adapter over the registry counters (kept for existing callers).
-  StableLogStats stats() const;
+  const StableLogStats& stats() const { return stats_; }
   const StableLogCostModel& cost_model() const { return cost_model_; }
 
  private:
@@ -236,7 +237,6 @@ class StableLog {
   void ScheduleAttempt(std::shared_ptr<WriteJob> job);
   void CompleteWrite(const std::shared_ptr<WriteJob>& job, const Status& status);
   void MarkDurable(const WriteJob& job);
-  void WireMetrics(obs::Registry* registry, const std::string& prefix);
   void ChargeWrite(size_t bytes, Duration cost);
   size_t PendingStoredBytes() const;
 
@@ -259,24 +259,9 @@ class StableLog {
   // before the crash notice the stamp changed and do nothing.
   uint64_t crash_generation_ = 0;
 
-  obs::Registry own_metrics_;  // used until BindMetrics() points elsewhere
-  obs::Counter* c_appends_ = nullptr;
-  obs::Counter* c_flushes_ = nullptr;
-  obs::Counter* c_bytes_flushed_ = nullptr;
-  obs::Counter* c_flush_time_micros_ = nullptr;
-  obs::Counter* c_raw_bytes_appended_ = nullptr;
-  obs::Counter* c_stored_bytes_appended_ = nullptr;
-  obs::Counter* c_records_compressed_ = nullptr;
-  obs::Counter* c_flush_transient_errors_ = nullptr;
-  obs::Counter* c_flush_retries_ = nullptr;
-  obs::Counter* c_flush_failures_ = nullptr;
-  obs::Counter* c_flush_enospc_ = nullptr;
-  obs::Counter* c_flush_sync_failures_ = nullptr;
-  obs::Counter* c_records_quarantined_ = nullptr;
-  obs::Counter* c_torn_tail_dropped_ = nullptr;
-  obs::Gauge* g_compression_ratio_pct_ = nullptr;
-  obs::Gauge* g_device_used_bytes_ = nullptr;
-  obs::Histogram* h_flush_seconds_ = nullptr;
+  StableLogStats stats_;
+  obs::Histogram flush_seconds_;
+  obs::Binding metrics_binding_;
 };
 
 }  // namespace rover

@@ -63,59 +63,6 @@ Link::Link(EventLoop* loop, std::string host_a, std::string host_b, LinkProfile 
   if (schedule_ == nullptr) {
     schedule_ = std::make_unique<ConstantConnectivity>(true);
   }
-  WireMetrics(&own_metrics_, "link." + profile_.name);
-}
-
-void Link::WireMetrics(obs::Registry* registry, const std::string& prefix) {
-  c_frames_sent_ = registry->counter(prefix + ".frames_sent");
-  c_frames_delivered_ = registry->counter(prefix + ".frames_delivered");
-  c_frames_lost_ = registry->counter(prefix + ".frames_lost");
-  c_frames_corrupted_ = registry->counter(prefix + ".frames_corrupted");
-  c_frames_rejected_ = registry->counter(prefix + ".frames_rejected");
-  c_frames_duplicated_ = registry->counter(prefix + ".frames_duplicated");
-  c_frames_reordered_ = registry->counter(prefix + ".frames_reordered");
-  c_payload_bytes_ = registry->counter(prefix + ".payload_bytes");
-  c_wire_bytes_ = registry->counter(prefix + ".wire_bytes");
-}
-
-void Link::BindMetrics(obs::Registry* registry, const std::string& prefix) {
-  const LinkStats carried = stats();
-  WireMetrics(registry, prefix);
-  c_frames_sent_->Increment(carried.frames_sent);
-  c_frames_delivered_->Increment(carried.frames_delivered);
-  c_frames_lost_->Increment(carried.frames_lost);
-  c_frames_corrupted_->Increment(carried.frames_corrupted);
-  c_frames_rejected_->Increment(carried.frames_rejected);
-  c_frames_duplicated_->Increment(carried.frames_duplicated);
-  c_frames_reordered_->Increment(carried.frames_reordered);
-  c_payload_bytes_->Increment(carried.payload_bytes);
-  c_wire_bytes_->Increment(carried.wire_bytes);
-}
-
-LinkStats Link::stats() const {
-  LinkStats s;
-  s.frames_sent = c_frames_sent_->value();
-  s.frames_delivered = c_frames_delivered_->value();
-  s.frames_lost = c_frames_lost_->value();
-  s.frames_corrupted = c_frames_corrupted_->value();
-  s.frames_rejected = c_frames_rejected_->value();
-  s.frames_duplicated = c_frames_duplicated_->value();
-  s.frames_reordered = c_frames_reordered_->value();
-  s.payload_bytes = c_payload_bytes_->value();
-  s.wire_bytes = c_wire_bytes_->value();
-  return s;
-}
-
-void Link::ResetStats() {
-  c_frames_sent_->Reset();
-  c_frames_delivered_->Reset();
-  c_frames_lost_->Reset();
-  c_frames_corrupted_->Reset();
-  c_frames_rejected_->Reset();
-  c_frames_duplicated_->Reset();
-  c_frames_reordered_->Reset();
-  c_payload_bytes_->Reset();
-  c_wire_bytes_->Reset();
 }
 
 std::string Link::PeerOf(const std::string& host) const {
@@ -196,7 +143,7 @@ void Link::SendFrame(const std::string& from_host, Bytes frame, DeliveryCallback
   }
   const TimePoint now = loop_->now();
   if (forced_down_ || !schedule_->IsUp(now)) {
-    c_frames_rejected_->Increment();
+    ++stats_.frames_rejected;
     if (done) {
       // Fail asynchronously so callers never observe re-entrant completion.
       loop_->ScheduleAfter(Duration::Zero(),
@@ -212,8 +159,8 @@ void Link::SendFrame(const std::string& from_host, Bytes frame, DeliveryCallback
     start += profile_.connect_cost;
   }
 
-  c_frames_sent_->Increment();
-  c_wire_bytes_->Increment(WireBytes(frame.size()));
+  ++stats_.frames_sent;
+  stats_.wire_bytes += WireBytes(frame.size());
 
   // Walk the connectivity schedule, transmitting only while the link is up.
   // Bytes sent before a drop are preserved (the reliable transport under us
@@ -227,7 +174,7 @@ void Link::SendFrame(const std::string& from_host, Bytes frame, DeliveryCallback
     if (!schedule_->IsUp(t)) {
       const TimePoint up = schedule_->NextUpTime(t);
       if (up == kNever) {
-        c_frames_lost_->Increment();
+        ++stats_.frames_lost;
         busy_until_[dir] = t;
         loop_->ScheduleAt(t, [done] {
           if (done) {
@@ -260,7 +207,7 @@ void Link::SendFrame(const std::string& from_host, Bytes frame, DeliveryCallback
     const double p_ok = std::pow(1.0 - profile_.loss_prob,
                                  static_cast<double>(PacketCount(frame.size())));
     if (!loss_rng_.NextBool(p_ok)) {
-      c_frames_lost_->Increment();
+      ++stats_.frames_lost;
       // The sender learns about the loss one RTT-ish later (retransmit timer).
       loop_->ScheduleAt(arrival + profile_.latency, [done] {
         if (done) {
@@ -275,7 +222,7 @@ void Link::SendFrame(const std::string& from_host, Bytes frame, DeliveryCallback
   // it); the sender's reliability layer finds out a round trip later.
   if (profile_.corrupt_prob > 0.0 && loss_rng_.NextBool(profile_.corrupt_prob) &&
       !frame.empty()) {
-    c_frames_corrupted_->Increment();
+    ++stats_.frames_corrupted;
     Bytes damaged = frame;
     damaged[damaged.size() / 2] ^= 0xa5;
     auto damaged_ptr = std::make_shared<Bytes>(std::move(damaged));
@@ -297,7 +244,7 @@ void Link::SendFrame(const std::string& from_host, Bytes frame, DeliveryCallback
   // point of view the link was just slow.
   TimePoint deliver_at = arrival;
   if (profile_.reorder_prob > 0.0 && loss_rng_.NextBool(profile_.reorder_prob)) {
-    c_frames_reordered_->Increment();
+    ++stats_.frames_reordered;
     deliver_at += profile_.reorder_delay;
   }
 
@@ -311,8 +258,8 @@ void Link::SendFrame(const std::string& from_host, Bytes frame, DeliveryCallback
   auto frame_ptr = std::make_shared<Bytes>(std::move(frame));
   loop_->ScheduleAt(deliver_at, [this, dir, frame_ptr, done, payload, from_host,
                                  duplicate] {
-    c_frames_delivered_->Increment();
-    c_payload_bytes_->Increment(payload);
+    ++stats_.frames_delivered;
+    stats_.payload_bytes += payload;
     if (handlers_[dir]) {
       // A pending duplicate delivery still needs the bytes; otherwise hand
       // the storage to the receiver outright.
@@ -323,7 +270,7 @@ void Link::SendFrame(const std::string& from_host, Bytes frame, DeliveryCallback
     }
   });
   if (duplicate) {
-    c_frames_duplicated_->Increment();
+    ++stats_.frames_duplicated;
     loop_->ScheduleAt(deliver_at + profile_.latency, [this, dir, frame_ptr, from_host] {
       if (handlers_[dir]) {
         handlers_[dir](std::move(*frame_ptr), from_host);

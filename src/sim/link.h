@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/metrics.h"
 #include "src/sim/connectivity.h"
 #include "src/sim/event_loop.h"
 #include "src/util/bytes.h"
@@ -60,7 +59,6 @@ struct LinkProfile {
   static std::vector<LinkProfile> PaperNetworks();
 };
 
-// Snapshot assembled from the metrics registry (see stats()).
 struct LinkStats {
   uint64_t frames_sent = 0;
   uint64_t frames_delivered = 0;
@@ -90,13 +88,7 @@ class Link {
   const std::string& host_a() const { return host_a_; }
   const std::string& host_b() const { return host_b_; }
   const LinkProfile& profile() const { return profile_; }
-  // Snapshot adapter over the registry counters (kept for existing callers).
-  LinkStats stats() const;
-  void ResetStats();
-
-  // Re-homes the link's instruments into `registry` under "<prefix>." names
-  // (e.g. "link.wavelan-2Mb"), carrying current values over.
-  void BindMetrics(obs::Registry* registry, const std::string& prefix);
+  const LinkStats& stats() const { return stats_; }
 
   // Returns the peer of `host`, or "" if `host` is not an endpoint.
   std::string PeerOf(const std::string& host) const;
@@ -136,7 +128,6 @@ class Link {
 
  private:
   int DirectionFrom(const std::string& host) const;  // 0: a->b, 1: b->a
-  void WireMetrics(obs::Registry* registry, const std::string& prefix);
 
   EventLoop* loop_;
   std::string host_a_;
@@ -146,16 +137,7 @@ class Link {
   bool forced_down_ = false;
   std::vector<std::function<void()>> state_observers_;
   Rng loss_rng_;
-  obs::Registry own_metrics_;  // used until BindMetrics() points elsewhere
-  obs::Counter* c_frames_sent_ = nullptr;
-  obs::Counter* c_frames_delivered_ = nullptr;
-  obs::Counter* c_frames_lost_ = nullptr;
-  obs::Counter* c_frames_corrupted_ = nullptr;
-  obs::Counter* c_frames_rejected_ = nullptr;
-  obs::Counter* c_frames_duplicated_ = nullptr;
-  obs::Counter* c_frames_reordered_ = nullptr;
-  obs::Counter* c_payload_bytes_ = nullptr;
-  obs::Counter* c_wire_bytes_ = nullptr;
+  LinkStats stats_;
   std::array<FrameHandler, 2> handlers_;  // index = receiving direction (0 means b receives)
   std::array<TimePoint, 2> busy_until_ = {TimePoint::Epoch(), TimePoint::Epoch()};
   TimePoint last_activity_ = TimePoint::FromMicros(INT64_MIN / 2);

@@ -59,6 +59,25 @@ Bytes EncodeSnapshotMessage(const ReplicationSender::ResyncImage& image) {
   return writer.TakeData();
 }
 
+const obs::Schema<ReplicationSenderStats> kSenderMetrics(
+    "replication_sender", {{"txns_shipped", &ReplicationSenderStats::transactions_shipped},
+                           {"bytes_shipped", &ReplicationSenderStats::bytes_shipped},
+                           {"acks_received", &ReplicationSenderStats::acks_received},
+                           {"resyncs_served", &ReplicationSenderStats::resyncs_served},
+                           {"sync_degrades", &ReplicationSenderStats::sync_degrades},
+                           {"lag_records", &ReplicationSenderStats::lag_records},
+                           {"acked_watermark", &ReplicationSenderStats::acked_watermark}});
+
+const obs::Schema<ReplicationReceiverStats> kReceiverMetrics(
+    "replication_receiver",
+    {{"txns_applied", &ReplicationReceiverStats::transactions_applied},
+     {"duplicates_ignored", &ReplicationReceiverStats::duplicates_ignored},
+     {"acks_sent", &ReplicationReceiverStats::acks_sent},
+     {"resyncs_requested", &ReplicationReceiverStats::resyncs_requested},
+     {"snapshots_applied", &ReplicationReceiverStats::snapshots_applied},
+     {"promotions", &ReplicationReceiverStats::promotions},
+     {"last_applied", &ReplicationReceiverStats::last_applied}});
+
 }  // namespace
 
 ReplicationSender::ReplicationSender(EventLoop* loop, TransportManager* transport,
@@ -72,13 +91,8 @@ ReplicationSender::~ReplicationSender() {
   transport_->SetHandler(MessageType::kControl, nullptr);
 }
 
-void ReplicationSender::BindMetrics(obs::Registry* registry, const std::string& prefix) {
-  c_shipped_ = registry->counter(prefix + ".txns_shipped");
-  c_acks_ = registry->counter(prefix + ".acks_received");
-  c_resyncs_ = registry->counter(prefix + ".resyncs_served");
-  c_degrades_ = registry->counter(prefix + ".sync_degrades");
-  g_lag_ = registry->gauge(prefix + ".lag_records");
-  g_watermark_ = registry->gauge(prefix + ".acked_watermark");
+void ReplicationSender::BindMetrics(obs::Registry* registry) {
+  metrics_binding_ = registry->Bind(kSenderMetrics, &stats_);
 }
 
 void ReplicationSender::Ship(uint64_t seq, uint64_t epoch, const ServerTransaction& txn) {
@@ -92,9 +106,6 @@ void ReplicationSender::Ship(uint64_t seq, uint64_t epoch, const ServerTransacti
   last_shipped_ = std::max(last_shipped_, seq);
   ++stats_.transactions_shipped;
   stats_.bytes_shipped += bytes;
-  if (c_shipped_ != nullptr) {
-    c_shipped_->Increment();
-  }
   UpdateLagGauge();
 }
 
@@ -127,9 +138,6 @@ void ReplicationSender::HandleControl(const Message& msg) {
 
 void ReplicationSender::AckWatermark(uint64_t watermark) {
   ++stats_.acks_received;
-  if (c_acks_ != nullptr) {
-    c_acks_->Increment();
-  }
   if (watermark <= acked_watermark_) {
     return;
   }
@@ -158,9 +166,6 @@ void ReplicationSender::ServeResync() {
   msg.payload = EncodeSnapshotMessage(image);
   transport_->Send(std::move(msg));
   ++stats_.resyncs_served;
-  if (c_resyncs_ != nullptr) {
-    c_resyncs_->Increment();
-  }
 }
 
 void ReplicationSender::ArmDegradeTimer() {
@@ -184,9 +189,6 @@ void ReplicationSender::ArmDegradeTimer() {
       // the checker is told about.
       degraded_ = true;
       ++stats_.sync_degrades;
-      if (c_degrades_ != nullptr) {
-        c_degrades_->Increment();
-      }
       ROVER_LOG(Info) << "replication to " << options_.peer
                       << " degraded to async (watermark " << acked_watermark_
                       << ", shipped " << last_shipped_ << ")";
@@ -205,12 +207,8 @@ void ReplicationSender::ArmDegradeTimer() {
 }
 
 void ReplicationSender::UpdateLagGauge() {
-  if (g_lag_ != nullptr) {
-    g_lag_->Set(static_cast<int64_t>(last_shipped_ - acked_watermark_));
-  }
-  if (g_watermark_ != nullptr) {
-    g_watermark_->Set(static_cast<int64_t>(acked_watermark_));
-  }
+  stats_.lag_records = static_cast<int64_t>(last_shipped_ - acked_watermark_);
+  stats_.acked_watermark = static_cast<int64_t>(acked_watermark_);
 }
 
 ReplicationReceiver::ReplicationReceiver(EventLoop* loop, TransportManager* transport,
@@ -230,13 +228,8 @@ ReplicationReceiver::~ReplicationReceiver() {
   transport_->SetHandler(MessageType::kControl, nullptr);
 }
 
-void ReplicationReceiver::BindMetrics(obs::Registry* registry, const std::string& prefix) {
-  c_applied_ = registry->counter(prefix + ".txns_applied");
-  c_acks_ = registry->counter(prefix + ".acks_sent");
-  c_resyncs_ = registry->counter(prefix + ".resyncs_requested");
-  c_snapshots_ = registry->counter(prefix + ".snapshots_applied");
-  c_promotions_ = registry->counter(prefix + ".promotions");
-  g_last_applied_ = registry->gauge(prefix + ".last_applied");
+void ReplicationReceiver::BindMetrics(obs::Registry* registry) {
+  metrics_binding_ = registry->Bind(kReceiverMetrics, &stats_);
 }
 
 uint64_t ReplicationReceiver::Promote() {
@@ -258,9 +251,6 @@ uint64_t ReplicationReceiver::Promote() {
   qrpc_->set_epoch(epoch);
   buffered_.clear();
   ++stats_.promotions;
-  if (c_promotions_ != nullptr) {
-    c_promotions_->Increment();
-  }
   if (check_ != nullptr) {
     std::vector<std::pair<std::string, uint64_t>> replicated;
     for (const auto& r : qrpc_->CachedResponses()) {
@@ -369,12 +359,7 @@ void ReplicationReceiver::DrainBuffered() {
     buffered_.erase(it);
     last_applied_ = seq;
     ++stats_.transactions_applied;
-    if (c_applied_ != nullptr) {
-      c_applied_->Increment();
-    }
-    if (g_last_applied_ != nullptr) {
-      g_last_applied_->Set(static_cast<int64_t>(last_applied_));
-    }
+    stats_.last_applied = static_cast<int64_t>(last_applied_);
     server_->ApplyReplicatedTransaction(
         txn, [this, seq, weak = std::weak_ptr<char>(alive_)](const Status& durable) {
           if (weak.expired() || !durable.ok()) {
@@ -399,12 +384,7 @@ void ReplicationReceiver::HandleSnapshot(uint64_t baseline_seq, uint64_t epoch,
   }
   last_applied_ = baseline_seq;
   ++stats_.snapshots_applied;
-  if (c_snapshots_ != nullptr) {
-    c_snapshots_->Increment();
-  }
-  if (g_last_applied_ != nullptr) {
-    g_last_applied_->Set(static_cast<int64_t>(last_applied_));
-  }
+  stats_.last_applied = static_cast<int64_t>(last_applied_);
   server_->AdoptReplicatedSnapshot(
       std::move(object_image), std::move(responses),
       [this, baseline_seq, weak = std::weak_ptr<char>(alive_)] {
@@ -426,9 +406,6 @@ void ReplicationReceiver::RequestResync() {
   }
   resync_pending_ = true;
   ++stats_.resyncs_requested;
-  if (c_resyncs_ != nullptr) {
-    c_resyncs_->Increment();
-  }
   Message msg;
   msg.header.type = MessageType::kControl;
   msg.header.priority = Priority::kDefault;
@@ -458,9 +435,6 @@ void ReplicationReceiver::SendAck() {
   msg.payload = EncodeAckMessage(last_durable_);
   transport_->Send(std::move(msg));
   ++stats_.acks_sent;
-  if (c_acks_ != nullptr) {
-    c_acks_->Increment();
-  }
 }
 
 }  // namespace rover

@@ -68,6 +68,9 @@ struct ReplicationSenderStats {
   uint64_t acks_received = 0;
   uint64_t resyncs_served = 0;
   uint64_t sync_degrades = 0;
+  // Gauges.
+  int64_t lag_records = 0;  // shipped but not yet acked
+  int64_t acked_watermark = 0;
 };
 
 // Primary side: ships transactions, tracks the acked watermark, gates
@@ -107,7 +110,8 @@ class ReplicationSender {
     degrade_listener_ = std::move(listener);
   }
 
-  void BindMetrics(obs::Registry* registry, const std::string& prefix);
+  // Exposes stats() through `registry` as "replication_sender.*".
+  void BindMetrics(obs::Registry* registry);
 
   uint64_t last_shipped() const { return last_shipped_; }
   uint64_t acked_watermark() const { return acked_watermark_; }
@@ -141,12 +145,7 @@ class ReplicationSender {
   std::deque<GatedRelease> gated_;  // seq-ordered (commit order)
   bool degrade_timer_armed_ = false;
   ReplicationSenderStats stats_;
-  obs::Counter* c_shipped_ = nullptr;
-  obs::Counter* c_acks_ = nullptr;
-  obs::Counter* c_resyncs_ = nullptr;
-  obs::Counter* c_degrades_ = nullptr;
-  obs::Gauge* g_lag_ = nullptr;
-  obs::Gauge* g_watermark_ = nullptr;
+  obs::Binding metrics_binding_;
   std::shared_ptr<char> alive_ = std::make_shared<char>('r');
 };
 
@@ -157,6 +156,7 @@ struct ReplicationReceiverStats {
   uint64_t resyncs_requested = 0;
   uint64_t snapshots_applied = 0;
   uint64_t promotions = 0;
+  int64_t last_applied = 0;  // gauge: highest seq applied in order
 };
 
 // Backup side: applies shipped transactions in order to the local server,
@@ -175,7 +175,8 @@ class ReplicationReceiver {
   uint64_t Promote();
 
   void SetCheckListener(obs::CheckListener* listener) { check_ = listener; }
-  void BindMetrics(obs::Registry* registry, const std::string& prefix);
+  // Exposes stats() through `registry` as "replication_receiver.*".
+  void BindMetrics(obs::Registry* registry);
 
   bool promoted() const { return promoted_; }
   uint64_t last_applied() const { return last_applied_; }
@@ -205,12 +206,7 @@ class ReplicationReceiver {
   bool resync_pending_ = false;
   std::map<uint64_t, std::pair<uint64_t, ServerTransaction>> buffered_;  // seq -> (epoch, txn)
   ReplicationReceiverStats stats_;
-  obs::Counter* c_applied_ = nullptr;
-  obs::Counter* c_acks_ = nullptr;
-  obs::Counter* c_resyncs_ = nullptr;
-  obs::Counter* c_snapshots_ = nullptr;
-  obs::Counter* c_promotions_ = nullptr;
-  obs::Gauge* g_last_applied_ = nullptr;
+  obs::Binding metrics_binding_;
   std::shared_ptr<char> alive_ = std::make_shared<char>('r');
 };
 

@@ -20,6 +20,23 @@ Bytes EncodeInvalidation(const std::string& name, uint64_t version) {
 
 namespace {
 
+const obs::Schema<RoverServerStats> kMetrics(
+    "rover_server",
+    {{"imports", &RoverServerStats::imports},
+     {"exports", &RoverServerStats::exports},
+     {"invokes", &RoverServerStats::invokes},
+     {"invalidations_sent", &RoverServerStats::invalidations_sent},
+     {"invalidations_expired", &RoverServerStats::invalidations_expired},
+     {"unsubscribes", &RoverServerStats::unsubscribes},
+     {"subscribers_dropped", &RoverServerStats::subscribers_dropped},
+     {"deltas_sent", &RoverServerStats::deltas_sent},
+     {"imports_not_modified", &RoverServerStats::imports_not_modified},
+     {"delta_bytes_saved", &RoverServerStats::delta_bytes_saved},
+     {"wal_space_exhausted", &RoverServerStats::wal_space_exhausted},
+     {"wal_space_recoveries", &RoverServerStats::wal_space_recoveries},
+     {"wal_compactions_forced", &RoverServerStats::wal_compactions_forced},
+     {"wal_flush_failures", &RoverServerStats::wal_flush_failures}});
+
 Result<Invalidation> DecodeInvalidationFrom(WireReader* reader) {
   ROVER_ASSIGN_OR_RETURN(std::string tag, reader->ReadString());
   if (tag != "INVAL") {
@@ -68,6 +85,10 @@ RoverServer::RoverServer(EventLoop* loop, TransportManager* transport, QrpcServe
   if (stable_store_ != nullptr) {
     WireDurability();
   }
+}
+
+void RoverServer::BindMetrics(obs::Registry* registry) {
+  metrics_binding_ = registry->Bind(kMetrics, &stats_);
 }
 
 void RoverServer::WireDurability() {

@@ -88,6 +88,8 @@ class RoverServer {
   ObjectStore* store() { return &store_; }
   ConflictResolverRegistry* resolvers() { return &resolvers_; }
   const RoverServerStats& stats() const { return stats_; }
+  // Exposes stats() through `registry` as "rover_server.*".
+  void BindMetrics(obs::Registry* registry);
 
   // Convenience for tests/benches/examples: create an object directly.
   Status CreateObject(const RdoDescriptor& descriptor);
@@ -230,6 +232,7 @@ class RoverServer {
   // Invalidation delivered-callbacks capture a weak_ptr to this token and
   // bail out if the server was destroyed (simulated crash) first.
   std::shared_ptr<char> alive_ = std::make_shared<char>(0);
+  obs::Binding metrics_binding_;
 };
 
 }  // namespace rover

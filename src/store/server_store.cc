@@ -5,7 +5,16 @@
 namespace rover {
 
 namespace {
+
 constexpr char kTxnTag[] = "TXN";
+
+const obs::Schema<ServerStoreStats> kMetrics(
+    "server_store", {{"transactions_logged", &ServerStoreStats::transactions_logged},
+                     {"snapshots_written", &ServerStoreStats::snapshots_written},
+                     {"recoveries", &ServerStoreStats::recoveries},
+                     {"wal_records_dropped", &ServerStoreStats::wal_records_dropped},
+                     {"wal_interior_quarantined", &ServerStoreStats::wal_interior_quarantined}});
+
 }  // namespace
 
 Bytes ServerTransaction::Encode() const {
@@ -70,6 +79,11 @@ ServerStableStore::ServerStableStore(EventLoop* loop, ServerStoreOptions options
     : loop_(loop),
       options_(options),
       wal_(loop, options.wal_costs, options.wal_disk_faults) {}
+
+void ServerStableStore::BindMetrics(obs::Registry* registry) {
+  wal_.device()->BindMetrics(registry);
+  metrics_binding_ = registry->Bind(kMetrics, &stats_);
+}
 
 uint64_t ServerStableStore::LogTransaction(const ServerTransaction& txn) {
   ++stats_.transactions_logged;

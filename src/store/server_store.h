@@ -151,6 +151,9 @@ class ServerStableStore {
   size_t WalRecordCount() const { return wal_.RecordCount(); }
   bool CompactionInProgress() const { return compaction_in_progress_; }
   const ServerStoreStats& stats() const { return stats_; }
+  // Exposes stats() through `registry` as "server_store.*", and the WAL
+  // device's as "stable_device.*".
+  void BindMetrics(obs::Registry* registry);
   // The WAL log (and through it the fault-injectable device).
   StableLog* wal() { return &wal_; }
   StableLog* wal_for_test() { return &wal_; }
@@ -175,6 +178,7 @@ class ServerStableStore {
   // the crash abandon their swap.
   uint64_t crash_generation_ = 0;
   ServerStoreStats stats_;
+  obs::Binding metrics_binding_;
 };
 
 }  // namespace rover

@@ -10,18 +10,42 @@
 #include "src/util/logging.h"
 
 namespace rover {
+namespace {
+
+const obs::Schema<SchedulerStats> kMetrics(
+    "scheduler",
+    {{"messages_enqueued", &SchedulerStats::messages_enqueued},
+     {"messages_delivered", &SchedulerStats::messages_delivered},
+     {"messages_expired", &SchedulerStats::messages_expired},
+     {"frames_sent", &SchedulerStats::frames_sent},
+     {"retries", &SchedulerStats::retries},
+     {"bytes_sent", &SchedulerStats::bytes_sent},
+     {"payload_bytes_original", &SchedulerStats::payload_bytes_original},
+     {"payload_bytes_sent", &SchedulerStats::payload_bytes_sent},
+     {"payload_bytes_cancelled", &SchedulerStats::payload_bytes_cancelled},
+     {"messages_shed", &SchedulerStats::messages_shed},
+     {"enqueue_rejected", &SchedulerStats::enqueue_rejected},
+     {"retry_budget_waits", &SchedulerStats::retry_budget_waits},
+     {"breaker_open_transitions", &SchedulerStats::breaker_open_transitions},
+     {"queue_depth", &SchedulerStats::queue_depth},
+     {"queued_payload_bytes", &SchedulerStats::queued_payload_bytes},
+     {"breakers_open", &SchedulerStats::breakers_open}});
+
+}  // namespace
 
 NetworkScheduler::NetworkScheduler(EventLoop* loop, Host* host, SchedulerOptions options)
     : loop_(loop), host_(host), options_(options),
-      retry_budget_(options.retry_budget_capacity, options.retry_budget_refill_per_sec) {
-  WireMetrics(&own_metrics_, "scheduler");
-}
+      retry_budget_(options.retry_budget_capacity, options.retry_budget_refill_per_sec) {}
 
 NetworkScheduler::~NetworkScheduler() {
   // The alive_ token already neutralizes queued observer fires, but
   // deregistering keeps a long-lived host's observer lists from
   // accumulating dead entries across transport rebuilds.
   host_->RemovePeerObservers(this);
+}
+
+void NetworkScheduler::BindMetrics(obs::Registry* registry) {
+  metrics_binding_ = registry->Bind(kMetrics, &stats_);
 }
 
 NetworkScheduler::DestId NetworkScheduler::InternDest(const std::string& dest) {
@@ -57,64 +81,6 @@ NetworkScheduler::DestQueue* NetworkScheduler::FindDest(const std::string& dest)
 BreakerState NetworkScheduler::BreakerStateFor(const std::string& dest) const {
   const DestQueue* q = FindDest(dest);
   return q == nullptr ? BreakerState::kClosed : q->breaker.state();
-}
-
-void NetworkScheduler::WireMetrics(obs::Registry* registry, const std::string& prefix) {
-  c_messages_enqueued_ = registry->counter(prefix + ".messages_enqueued");
-  c_messages_delivered_ = registry->counter(prefix + ".messages_delivered");
-  c_messages_expired_ = registry->counter(prefix + ".messages_expired");
-  c_frames_sent_ = registry->counter(prefix + ".frames_sent");
-  c_retries_ = registry->counter(prefix + ".retries");
-  c_bytes_sent_ = registry->counter(prefix + ".bytes_sent");
-  c_payload_bytes_original_ = registry->counter(prefix + ".payload_bytes_original");
-  c_payload_bytes_sent_ = registry->counter(prefix + ".payload_bytes_sent");
-  c_payload_bytes_cancelled_ = registry->counter(prefix + ".payload_bytes_cancelled");
-  c_messages_shed_ = registry->counter(prefix + ".messages_shed");
-  c_enqueue_rejected_ = registry->counter(prefix + ".enqueue_rejected");
-  c_retry_budget_waits_ = registry->counter(prefix + ".retry_budget_waits");
-  c_breaker_opened_ = registry->counter(prefix + ".breaker_open_transitions");
-  g_queue_depth_ = registry->gauge(prefix + ".queue_depth");
-  g_queued_bytes_ = registry->gauge(prefix + ".queued_payload_bytes");
-  g_breakers_open_ = registry->gauge(prefix + ".breakers_open");
-}
-
-void NetworkScheduler::BindMetrics(obs::Registry* registry, const std::string& prefix) {
-  const SchedulerStats carried = stats();
-  WireMetrics(registry, prefix);
-  c_messages_enqueued_->Increment(carried.messages_enqueued);
-  c_messages_delivered_->Increment(carried.messages_delivered);
-  c_messages_expired_->Increment(carried.messages_expired);
-  c_frames_sent_->Increment(carried.frames_sent);
-  c_retries_->Increment(carried.retries);
-  c_bytes_sent_->Increment(carried.bytes_sent);
-  c_payload_bytes_original_->Increment(carried.payload_bytes_original);
-  c_payload_bytes_sent_->Increment(carried.payload_bytes_sent);
-  c_payload_bytes_cancelled_->Increment(carried.payload_bytes_cancelled);
-  c_messages_shed_->Increment(carried.messages_shed);
-  c_enqueue_rejected_->Increment(carried.enqueue_rejected);
-  c_retry_budget_waits_->Increment(carried.retry_budget_waits);
-  c_breaker_opened_->Increment(carried.breaker_open_transitions);
-  g_queue_depth_->Set(static_cast<int64_t>(total_queued_));
-  g_queued_bytes_->Set(static_cast<int64_t>(queued_payload_bytes_));
-  g_breakers_open_->Set(open_breakers_);
-}
-
-SchedulerStats NetworkScheduler::stats() const {
-  SchedulerStats s;
-  s.messages_enqueued = c_messages_enqueued_->value();
-  s.messages_delivered = c_messages_delivered_->value();
-  s.messages_expired = c_messages_expired_->value();
-  s.frames_sent = c_frames_sent_->value();
-  s.retries = c_retries_->value();
-  s.bytes_sent = c_bytes_sent_->value();
-  s.payload_bytes_original = c_payload_bytes_original_->value();
-  s.payload_bytes_sent = c_payload_bytes_sent_->value();
-  s.payload_bytes_cancelled = c_payload_bytes_cancelled_->value();
-  s.messages_shed = c_messages_shed_->value();
-  s.enqueue_rejected = c_enqueue_rejected_->value();
-  s.retry_budget_waits = c_retry_budget_waits_->value();
-  s.breaker_open_transitions = c_breaker_opened_->value();
-  return s;
 }
 
 void NetworkScheduler::NoteLiveAdded(DestId id, int prio, size_t payload_bytes) {
@@ -172,7 +138,7 @@ void NetworkScheduler::TrimTombstones(DestQueue& q) {
 
 void NetworkScheduler::Enqueue(Message msg, DeliveredCallback delivered, Duration ttl) {
   obs::CpuScope cpu(obs::CpuZone::kSchedulerDispatch);
-  c_payload_bytes_original_->Increment(msg.payload.size());
+  stats_.payload_bytes_original += msg.payload.size();
 
   // Compress once, at enqueue time, so retries do not repeat the work.
   // Delivered-byte accounting happens in HandleBatchOutcome: counting here
@@ -199,8 +165,8 @@ void NetworkScheduler::Enqueue(Message msg, DeliveredCallback delivered, Duratio
                           queued_payload_bytes_ + payload_size > options_.max_queued_bytes;
   if (over_depth || over_bytes) {
     if (msg.header.priority == Priority::kBackground) {
-      c_enqueue_rejected_->Increment();
-      c_payload_bytes_cancelled_->Increment(payload_size);
+      ++stats_.enqueue_rejected;
+      stats_.payload_bytes_cancelled += payload_size;
       if (delivered) {
         delivered(ResourceExhaustedError("scheduler queue budget exceeded"));
       }
@@ -209,7 +175,7 @@ void NetworkScheduler::Enqueue(Message msg, DeliveredCallback delivered, Duratio
     ShedBackground(payload_size);
   }
 
-  c_messages_enqueued_->Increment();
+  ++stats_.messages_enqueued;
   const DestId id = InternDest(msg.header.dst);
   const uint64_t message_id = msg.header.message_id;
   Pending pending{std::move(msg), std::move(delivered)};
@@ -274,8 +240,8 @@ size_t NetworkScheduler::ShedBackground(size_t incoming_bytes) {
     }
   }
   for (Pending& v : victims) {
-    c_messages_shed_->Increment();
-    c_payload_bytes_cancelled_->Increment(v.msg.payload.size());
+    ++stats_.messages_shed;
+    stats_.payload_bytes_cancelled += v.msg.payload.size();
     if (v.delivered) {
       v.delivered(ResourceExhaustedError("shed under queue pressure"));
     }
@@ -297,8 +263,8 @@ void NetworkScheduler::ExpireMessage(DestId id, uint64_t message_id) {
     return;  // a different message reusing the id (fresh TTL)
   }
   const int prio = static_cast<int>(p->msg.header.priority);
-  c_messages_expired_->Increment();
-  c_payload_bytes_cancelled_->Increment(p->msg.payload.size());
+  ++stats_.messages_expired;
+  stats_.payload_bytes_cancelled += p->msg.payload.size();
   Tombstone(id, prio, p, DeadlineExceededError("message ttl expired in queue"));
   TrimTombstones(q);
   NotifyObserver();
@@ -317,7 +283,7 @@ bool NetworkScheduler::CancelMessage(const std::string& dest, uint64_t message_i
   }
   Pending* p = it->second;
   const int prio = static_cast<int>(p->msg.header.priority);
-  c_payload_bytes_cancelled_->Increment(p->msg.payload.size());
+  stats_.payload_bytes_cancelled += p->msg.payload.size();
   Tombstone(id, prio, p, CancelledError("cancelled before transmission"));
   TrimTombstones(q);
   NotifyObserver();
@@ -489,8 +455,8 @@ void NetworkScheduler::SendBatch(DestId id, Link* link) {
         // TTL lapsed while queued; drop here rather than transmit. Pop the
         // entry out BEFORE firing its callback -- the callback may re-enter
         // the scheduler and must not find a half-dead slot at the head.
-        c_messages_expired_->Increment();
-        c_payload_bytes_cancelled_->Increment(front.msg.payload.size());
+        ++stats_.messages_expired;
+        stats_.payload_bytes_cancelled += front.msg.payload.size();
         NoteLiveRemoved(id, prio, front.msg.payload.size());
         auto eit = q.index.find(front.msg.header.message_id);
         if (eit != q.index.end() && eit->second == &front) {
@@ -535,8 +501,8 @@ void NetworkScheduler::SendBatch(DestId id, Link* link) {
   }
   Bytes frame = EncodeFrame(wire);
   q.in_flight = true;
-  c_frames_sent_->Increment();
-  c_bytes_sent_->Increment(frame.size());
+  ++stats_.frames_sent;
+  stats_.bytes_sent += frame.size();
 
   // `batch` is moved into the completion lambda; shared_ptr keeps the
   // lambda copyable for std::function.
@@ -563,11 +529,11 @@ void NetworkScheduler::HandleBatchOutcome(DestId id, std::vector<Pending> batch,
     const BreakerState before = q.breaker.state();
     q.breaker.RecordSuccess();
     NoteBreakerChange(q.name, before, q.breaker.state());
-    c_messages_delivered_->Increment(batch.size());
+    stats_.messages_delivered += batch.size();
     for (Pending& p : batch) {
       // Payload accounting at the delivery point: only bytes a link carried
       // end-to-end count as sent.
-      c_payload_bytes_sent_->Increment(p.msg.payload.size());
+      stats_.payload_bytes_sent += p.msg.payload.size();
       if (p.delivered) {
         p.delivered(Status::Ok());
       }
@@ -579,7 +545,7 @@ void NetworkScheduler::HandleBatchOutcome(DestId id, std::vector<Pending> batch,
 
   // Failure: requeue at the front of each message's priority queue,
   // preserving the original order, and restore their index entries.
-  c_retries_->Increment();
+  ++stats_.retries;
   for (auto it = batch.rbegin(); it != batch.rend(); ++it) {
     const int prio = static_cast<int>(it->msg.header.priority);
     const size_t bytes = it->msg.payload.size();
@@ -611,7 +577,7 @@ void NetworkScheduler::HandleBatchOutcome(DestId id, std::vector<Pending> batch,
     q.breaker.RecordFailure(now);
     NoteBreakerChange(q.name, before, q.breaker.state());
     if (q.breaker.state() == BreakerState::kOpen && before != BreakerState::kOpen) {
-      c_breaker_opened_->Increment();
+      ++stats_.breaker_open_transitions;
       NotifyObserver();
     }
     TimePoint fire_at = now + q.backoff->Next();
@@ -620,10 +586,10 @@ void NetworkScheduler::HandleBatchOutcome(DestId id, std::vector<Pending> batch,
       if (token_at == TimePoint::FromMicros(INT64_MAX)) {
         // Budget can never refill; delivery is still reliable, so fall back
         // to pacing at the maximum backoff instead of never retrying.
-        c_retry_budget_waits_->Increment();
+        ++stats_.retry_budget_waits;
         fire_at = std::max(fire_at, now + options_.loss_retry_backoff_max);
       } else if (token_at > fire_at) {
-        c_retry_budget_waits_->Increment();
+        ++stats_.retry_budget_waits;
         fire_at = token_at;
       }
     }
@@ -745,7 +711,7 @@ void NetworkScheduler::NoteDestUnreachable(DestId id) {
   if (q.breaker.state() != BreakerState::kOpen) {
     return;  // breaker disabled; nothing to report
   }
-  c_breaker_opened_->Increment();
+  ++stats_.breaker_open_transitions;
   NoteBreakerChange(q.name, before, q.breaker.state());
   NotifyObserver();
 }
@@ -760,9 +726,9 @@ void NetworkScheduler::NoteBreakerChange(const std::string& dest, BreakerState b
 }
 
 void NetworkScheduler::NotifyObserver() {
-  g_queue_depth_->Set(static_cast<int64_t>(total_queued_));
-  g_queued_bytes_->Set(static_cast<int64_t>(queued_payload_bytes_));
-  g_breakers_open_->Set(open_breakers_);
+  stats_.queue_depth = static_cast<int64_t>(total_queued_);
+  stats_.queued_payload_bytes = static_cast<int64_t>(queued_payload_bytes_);
+  stats_.breakers_open = open_breakers_;
   if (observer_) {
     observer_(total_queued_);
   }

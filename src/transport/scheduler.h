@@ -71,7 +71,6 @@ struct SchedulerOptions {
   CircuitBreakerOptions breaker;
 };
 
-// Snapshot assembled from the metrics registry (see stats()).
 struct SchedulerStats {
   uint64_t messages_enqueued = 0;
   uint64_t messages_delivered = 0;
@@ -86,6 +85,10 @@ struct SchedulerStats {
   uint64_t enqueue_rejected = 0;       // refused admission at Enqueue
   uint64_t retry_budget_waits = 0;     // retries delayed by an empty budget
   uint64_t breaker_open_transitions = 0;  // closed/half-open -> open edges
+  // Gauges, refreshed on every queue change.
+  int64_t queue_depth = 0;           // live queued messages
+  int64_t queued_payload_bytes = 0;  // their payload bytes
+  int64_t breakers_open = 0;         // destinations whose breaker is not closed
 };
 
 // Independent structural recount of the queues, for invariant checking
@@ -151,16 +154,13 @@ class NetworkScheduler {
   // whatever `from` never answered. O(moved), not O(queue scan).
   std::vector<uint64_t> RebindDestination(const std::string& from, const std::string& to);
 
-  // Re-homes the scheduler's instruments into `registry` under
-  // "<prefix>." names, carrying current values over. Call before or after
-  // traffic; handles into the previous registry become stale.
-  void BindMetrics(obs::Registry* registry, const std::string& prefix = "scheduler");
+  // Exposes stats() through `registry` as "scheduler.*".
+  void BindMetrics(obs::Registry* registry);
 
   // Records kTransmitted span events for request messages it sends.
   void SetTracer(obs::RpcTracer* tracer) { tracer_ = tracer; }
 
-  // Snapshot adapter over the registry counters (kept for existing callers).
-  SchedulerStats stats() const;
+  const SchedulerStats& stats() const { return stats_; }
   const SchedulerOptions& options() const { return options_; }
 
   // Highest-quality (bandwidth) currently-up link to `dest`, or nullptr.
@@ -261,7 +261,6 @@ class NetworkScheduler {
   // breaker observer; called at every mutation site so NotifyObserver never
   // rescans the queues.
   void NoteBreakerChange(const std::string& dest, BreakerState before, BreakerState after);
-  void WireMetrics(obs::Registry* registry, const std::string& prefix);
 
   EventLoop* loop_;
   Host* host_;
@@ -290,24 +289,9 @@ class NetworkScheduler {
   // transport rebuilt after a simulated crash -- never touch freed state.
   std::shared_ptr<char> alive_ = std::make_shared<char>(0);
 
-  obs::Registry own_metrics_;  // used until BindMetrics() points elsewhere
   obs::RpcTracer* tracer_ = nullptr;
-  obs::Counter* c_messages_enqueued_ = nullptr;
-  obs::Counter* c_messages_delivered_ = nullptr;
-  obs::Counter* c_messages_expired_ = nullptr;
-  obs::Counter* c_frames_sent_ = nullptr;
-  obs::Counter* c_retries_ = nullptr;
-  obs::Counter* c_bytes_sent_ = nullptr;
-  obs::Counter* c_payload_bytes_original_ = nullptr;
-  obs::Counter* c_payload_bytes_sent_ = nullptr;
-  obs::Counter* c_payload_bytes_cancelled_ = nullptr;
-  obs::Counter* c_messages_shed_ = nullptr;
-  obs::Counter* c_enqueue_rejected_ = nullptr;
-  obs::Counter* c_retry_budget_waits_ = nullptr;
-  obs::Counter* c_breaker_opened_ = nullptr;
-  obs::Gauge* g_queue_depth_ = nullptr;
-  obs::Gauge* g_queued_bytes_ = nullptr;
-  obs::Gauge* g_breakers_open_ = nullptr;
+  SchedulerStats stats_;
+  obs::Binding metrics_binding_;
 };
 
 }  // namespace rover

@@ -6,10 +6,16 @@
 #include "src/util/logging.h"
 
 namespace rover {
+namespace {
+
+const obs::Schema<TransportStats> kMetrics(
+    "transport", {{"frames_corrupt_dropped", &TransportStats::frames_corrupt_dropped},
+                  {"messages_undecodable", &TransportStats::messages_undecodable}});
+
+}  // namespace
 
 TransportManager::TransportManager(EventLoop* loop, Host* host, SchedulerOptions options)
     : loop_(loop), host_(host), scheduler_(loop, host, options) {
-  WireMetrics(&own_metrics_, "transport");
   host_->SetReceiver([this](Bytes frame, const std::string& from) {
     HandleFrame(std::move(frame), from);
   }, this);
@@ -77,23 +83,15 @@ void TransportManager::SetHandler(MessageType type, MessageHandler handler) {
   handlers_[static_cast<size_t>(type)] = std::move(handler);
 }
 
-void TransportManager::WireMetrics(obs::Registry* registry, const std::string& prefix) {
-  c_frames_corrupt_dropped_ = registry->counter(prefix + ".frames_corrupt_dropped");
-  c_messages_undecodable_ = registry->counter(prefix + ".messages_undecodable");
-}
-
-void TransportManager::BindMetrics(obs::Registry* registry, const std::string& prefix) {
-  const uint64_t frames = c_frames_corrupt_dropped_->value();
-  const uint64_t messages = c_messages_undecodable_->value();
-  WireMetrics(registry, prefix);
-  c_frames_corrupt_dropped_->Increment(frames);
-  c_messages_undecodable_->Increment(messages);
+void TransportManager::BindMetrics(obs::Registry* registry) {
+  scheduler_.BindMetrics(registry);
+  metrics_binding_ = registry->Bind(kMetrics, &stats_);
 }
 
 void TransportManager::HandleFrame(Bytes frame, const std::string& from) {
   auto decoded = DecodeFrame(std::move(frame));
   if (!decoded.ok()) {
-    c_frames_corrupt_dropped_->Increment();
+    ++stats_.frames_corrupt_dropped;
     ROVER_LOG(Warning) << host_->name() << ": dropping corrupt frame from " << from << ": "
                        << decoded.status();
     return;
@@ -102,7 +100,7 @@ void TransportManager::HandleFrame(Bytes frame, const std::string& from) {
     if (msg.header.compressed) {
       auto raw = LzDecompress(msg.payload.data(), msg.payload.size());
       if (!raw.ok()) {
-        c_messages_undecodable_->Increment();
+        ++stats_.messages_undecodable;
         ROVER_LOG(Warning) << host_->name() << ": dropping message "
                            << msg.header.message_id << ": " << raw.status();
         continue;

@@ -22,6 +22,16 @@
 
 namespace rover {
 
+struct TransportStats {
+  // Inbound frames dropped at the decode boundary (bit-corrupted on the
+  // wire). Corruption never propagates past this point: no partial message
+  // reaches a handler.
+  uint64_t frames_corrupt_dropped = 0;
+  // Individual messages dropped because their compressed payload failed to
+  // decompress (the rest of the frame's batch still dispatches).
+  uint64_t messages_undecodable = 0;
+};
+
 class TransportManager {
  public:
   using MessageHandler = std::function<void(const Message&)>;
@@ -64,21 +74,13 @@ class TransportManager {
   static Bytes EncodeEnvelope(const Message& inner);
   static Result<Message> DecodeEnvelope(const Buffer& payload);
 
-  // Re-homes the transport's instruments into `registry` under "<prefix>."
-  // names, carrying current values over.
-  void BindMetrics(obs::Registry* registry, const std::string& prefix = "transport");
+  // Exposes stats() as "transport.*" and the scheduler's as "scheduler.*".
+  void BindMetrics(obs::Registry* registry);
 
-  // Inbound frames dropped at the decode boundary (bit-corrupted on the
-  // wire). Corruption never propagates past this point: no partial message
-  // reaches a handler.
-  uint64_t frames_corrupt_dropped() const { return c_frames_corrupt_dropped_->value(); }
-  // Individual messages dropped because their compressed payload failed to
-  // decompress (the rest of the frame's batch still dispatches).
-  uint64_t messages_undecodable() const { return c_messages_undecodable_->value(); }
+  const TransportStats& stats() const { return stats_; }
 
  private:
   void HandleFrame(Bytes frame, const std::string& from);
-  void WireMetrics(obs::Registry* registry, const std::string& prefix);
 
   EventLoop* loop_;
   Host* host_;
@@ -86,9 +88,8 @@ class TransportManager {
   std::array<MessageHandler, 4> handlers_;
   uint64_t next_message_id_ = 1;
   std::string auth_token_;
-  obs::Registry own_metrics_;  // used until BindMetrics() points elsewhere
-  obs::Counter* c_frames_corrupt_dropped_ = nullptr;
-  obs::Counter* c_messages_undecodable_ = nullptr;
+  TransportStats stats_;
+  obs::Binding metrics_binding_;
 };
 
 }  // namespace rover

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,31 +26,53 @@ TimePoint At(double seconds) { return TimePoint::Epoch() + Duration::Seconds(sec
 
 // --- registry unit tests ---
 
-TEST(MetricsRegistryTest, CounterCreateOrGet) {
+// A toy component: a plain stats struct plus one histogram kept beside it.
+struct ToyStats {
+  uint64_t count = 0;
+  uint64_t hits = 0;
+  int64_t depth = 0;  // gauge
+};
+
+const obs::Schema<ToyStats> kToyMetrics("toy",
+                                        {{"count", &ToyStats::count},
+                                         {"hits", &ToyStats::hits},
+                                         {"depth", &ToyStats::depth}},
+                                        {"lat"});
+
+TEST(MetricsRegistryTest, CounterReadsTheBoundStructLive) {
   obs::Registry reg;
-  obs::Counter* c = reg.counter("a.hits");
-  c->Increment();
-  c->Increment(4);
-  EXPECT_EQ(reg.counter("a.hits"), c);  // same handle back
-  EXPECT_EQ(reg.CounterValue("a.hits"), 5u);
+  ToyStats stats;
+  obs::Histogram lat;
+  obs::Binding binding = reg.Bind(kToyMetrics, &stats, {&lat});
+  ++stats.hits;
+  stats.hits += 4;
+  EXPECT_EQ(reg.CounterValue("toy.hits"), 5u);  // no copy: the struct is read
   EXPECT_EQ(reg.CounterValue("missing"), 0u);
-  EXPECT_EQ(reg.FindCounter("missing"), nullptr);
+  EXPECT_EQ(reg.CounterValue("toy.depth"), 0u);  // a gauge is not a counter
+  EXPECT_EQ(reg.FindHistogram("missing"), nullptr);
 }
 
 TEST(MetricsRegistryTest, GaugeSetAndAdd) {
   obs::Registry reg;
-  obs::Gauge* g = reg.gauge("q.depth");
-  g->Set(10);
-  g->Add(-3);
-  EXPECT_EQ(reg.FindGauge("q.depth")->value(), 7);
+  ToyStats stats;
+  obs::Histogram lat;
+  obs::Binding binding = reg.Bind(kToyMetrics, &stats, {&lat});
+  stats.depth = 10;
+  stats.depth += -3;
+  EXPECT_EQ(reg.GaugeValue("toy.depth"), 7);
+  EXPECT_EQ(reg.GaugeValue("missing"), 0);
 }
 
 TEST(MetricsRegistryTest, HistogramBuckets) {
   obs::Registry reg;
-  obs::Histogram* h = reg.histogram("lat", {0.001, 0.01, 0.1});
-  h->Observe(0.0005);  // bucket 0
-  h->Observe(0.05);    // bucket 2
-  h->Observe(5.0);     // overflow
+  ToyStats stats;
+  obs::Histogram lat({0.001, 0.01, 0.1});
+  obs::Binding binding = reg.Bind(kToyMetrics, &stats, {&lat});
+  lat.Observe(0.0005);  // bucket 0
+  lat.Observe(0.05);    // bucket 2
+  lat.Observe(5.0);     // overflow
+  const obs::Histogram* h = reg.FindHistogram("toy.lat");
+  ASSERT_EQ(h, &lat);
   EXPECT_EQ(h->count(), 3u);
   EXPECT_DOUBLE_EQ(h->max(), 5.0);
   ASSERT_EQ(h->bucket_counts().size(), 4u);  // 3 bounds + overflow
@@ -60,17 +83,49 @@ TEST(MetricsRegistryTest, HistogramBuckets) {
 
 TEST(MetricsRegistryTest, RenderTextAndJson) {
   obs::Registry reg;
-  reg.counter("b.count")->Increment(2);
-  reg.gauge("a.depth")->Set(1);
-  reg.histogram("c.lat", {0.5})->Observe(0.25);
-  const std::string text = reg.Render(obs::RenderFormat::kText);
-  // Deterministic, sorted, one line per instrument.
-  EXPECT_NE(text.find("a.depth 1"), std::string::npos);
-  EXPECT_NE(text.find("b.count 2"), std::string::npos);
-  EXPECT_NE(text.find("c.lat count=1"), std::string::npos);
-  const std::string json = reg.Render(obs::RenderFormat::kJson);
-  EXPECT_NE(json.find("\"b.count\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+  ToyStats stats;
+  obs::Histogram lat({0.5});
+  obs::Binding binding = reg.Bind(kToyMetrics, &stats, {&lat});
+  stats.count = 2;
+  stats.depth = 1;
+  lat.Observe(0.25);
+  // Deterministic: counters, gauges, histograms, each sorted by name.
+  EXPECT_EQ(reg.Render(obs::RenderFormat::kText),
+            "toy.count 2\n"
+            "toy.hits 0\n"
+            "toy.depth 1\n"
+            "toy.lat count=1 sum=0.25 max=0.25\n");
+  EXPECT_EQ(reg.Render(obs::RenderFormat::kJson),
+            "{\"counters\":{\"toy.count\":2,\"toy.hits\":0},"
+            "\"gauges\":{\"toy.depth\":1},"
+            "\"histograms\":{\"toy.lat\":{\"count\":1,\"sum\":0.25,\"max\":0.25,"
+            "\"buckets\":[{\"le\":0.5,\"count\":1},{\"le\":\"inf\",\"count\":0}]}}}");
+}
+
+TEST(MetricsRegistryTest, UnbindKeepsCountsForTheNextBinding) {
+  obs::Registry reg;
+  {
+    ToyStats first;
+    obs::Histogram lat;
+    obs::Binding binding = reg.Bind(kToyMetrics, &first, {&lat});
+    first.hits = 3;
+    first.depth = 9;
+    lat.Observe(0.1);
+  }
+  // The struct is gone; its final counts are not.
+  EXPECT_EQ(reg.CounterValue("toy.hits"), 3u);
+  EXPECT_EQ(reg.GaugeValue("toy.depth"), 0);  // gauges describe the live struct
+  ASSERT_NE(reg.FindHistogram("toy.lat"), nullptr);
+  EXPECT_EQ(reg.FindHistogram("toy.lat")->count(), 1u);
+
+  ToyStats second;
+  obs::Histogram lat;
+  obs::Binding binding = reg.Bind(kToyMetrics, &second, {&lat});
+  EXPECT_EQ(second.hits, 3u);  // added into the new struct as it binds
+  EXPECT_EQ(lat.count(), 1u);
+  ++second.hits;
+  EXPECT_EQ(reg.CounterValue("toy.hits"), 4u);
+  EXPECT_EQ(reg.FindHistogram("toy.lat"), &lat);
 }
 
 TEST(RpcTracerTest, RecordsOrderedEventsAndEvicts) {
@@ -336,15 +391,19 @@ TEST(RpcTraceTimelineTest, SpanCoversLifecycleAcrossOutage) {
 
 // --- tentpole acceptance: one registry covers every subsystem ---
 
-TEST(UnifiedRegistryTest, NodeRegistryCoversAllSubsystems) {
-  Testbed bed;
-  RoverClientNode* client = bed.AddClient("mobile", LinkProfile::Ethernet10());
-  bed.server()->qrpc()->RegisterHandler(
+void RegisterEcho(RoverServerNode* server) {
+  server->qrpc()->RegisterHandler(
       "echo", [](const RpcRequestBody& req, const Message&, QrpcServer::Responder respond) {
         RpcResponseBody body;
         body.result = req.args.empty() ? RpcValue(std::string("")) : req.args[0];
         respond(body);
       });
+}
+
+TEST(UnifiedRegistryTest, NodeRegistryCoversAllSubsystems) {
+  Testbed bed;
+  RoverClientNode* client = bed.AddClient("mobile", LinkProfile::Ethernet10());
+  RegisterEcho(bed.server());
   QrpcCall call = client->qrpc()->Call("server", "echo", {std::string("x")});
   ASSERT_TRUE(call.result.Wait(bed.loop()));
 
@@ -353,7 +412,7 @@ TEST(UnifiedRegistryTest, NodeRegistryCoversAllSubsystems) {
   EXPECT_EQ(reg->CounterValue("qrpc_client.calls"), 1u);
   EXPECT_EQ(reg->CounterValue("qrpc_client.completed"), 1u);
   EXPECT_GE(reg->CounterValue("stable_log.flushes"), 1u);
-  EXPECT_NE(reg->FindCounter("access_manager.cache_hits"), nullptr);
+  EXPECT_NE(reg->Render().find("access_manager.cache_hits 0\n"), std::string::npos);
   EXPECT_NE(reg->FindHistogram("qrpc_client.rpc_seconds"), nullptr);
   EXPECT_EQ(reg->FindHistogram("qrpc_client.rpc_seconds")->count(), 1u);
 
@@ -370,6 +429,159 @@ TEST(UnifiedRegistryTest, NodeRegistryCoversAllSubsystems) {
             reg->CounterValue("qrpc_client.completed"));
   EXPECT_EQ(bed.server()->qrpc()->stats().requests,
             bed.server()->metrics()->CounterValue("qrpc_server.requests"));
+}
+
+// The registry folds a dying binding's counts into the next one, so node
+// registries and stats() stay cumulative across crash-restarts.
+TEST(UnifiedRegistryTest, CountsAccumulateAcrossCrashRestart) {
+  Testbed bed;
+  RoverClientNode* client = bed.AddClient("mobile", LinkProfile::Ethernet10());
+  RoverServerNode* server = bed.server();
+  RegisterEcho(server);
+  auto call_n = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      QrpcCall call = client->qrpc()->Call("server", "echo", {std::to_string(i)});
+      ASSERT_TRUE(call.result.Wait(bed.loop()));
+      ASSERT_TRUE(call.result.value().status.ok());
+    }
+  };
+  constexpr uint64_t kBefore = 3;
+  constexpr uint64_t kAfter = 2;
+  call_n(kBefore);
+  const obs::Registry* creg = client->metrics();
+  const obs::Registry* sreg = server->metrics();
+  ASSERT_EQ(creg->CounterValue("qrpc_client.calls"), kBefore);
+  ASSERT_EQ(creg->CounterValue("scheduler.messages_enqueued"), kBefore);
+  ASSERT_EQ(sreg->CounterValue("qrpc_server.requests"), kBefore);
+
+  client->SimulateCrashAndRestart();
+  server->SimulateCrashAndRestart();
+  RegisterEcho(server);  // handlers are process state
+  call_n(kAfter);
+
+  EXPECT_EQ(creg->CounterValue("qrpc_client.calls"), kBefore + kAfter);
+  EXPECT_EQ(creg->CounterValue("scheduler.messages_enqueued"), kBefore + kAfter);
+  EXPECT_EQ(sreg->CounterValue("qrpc_server.requests"), kBefore + kAfter);
+  ASSERT_NE(creg->FindHistogram("qrpc_client.rpc_seconds"), nullptr);
+  EXPECT_EQ(creg->FindHistogram("qrpc_client.rpc_seconds")->count(), kBefore + kAfter);
+  // The rebuilt components resumed their predecessors' totals.
+  EXPECT_EQ(client->qrpc()->stats().calls, creg->CounterValue("qrpc_client.calls"));
+  EXPECT_EQ(server->qrpc()->stats().requests, kBefore + kAfter);
+
+  // A killed node keeps its final counts.
+  server->Kill();
+  EXPECT_EQ(sreg->CounterValue("qrpc_server.requests"), kBefore + kAfter);
+}
+
+// RoverServerStats, ServerStoreStats and the WAL device's stats reach the
+// server node's registry, so obs_dump shows compactions and fail-stops.
+TEST(UnifiedRegistryTest, ServerStoreStatsReachTheRegistry) {
+  Testbed::Options topts;
+  topts.server.stable_store.compact_after_records = 2;  // compact eagerly
+  Testbed bed(topts);
+  RoverClientNode* client = bed.AddClient("mobile", LinkProfile::Ethernet10());
+  RoverServerNode* server = bed.server();
+  RegisterEcho(server);
+  for (int i = 0; i < 6; ++i) {
+    QrpcCall call = client->qrpc()->Call("server", "echo", {std::to_string(i)});
+    ASSERT_TRUE(call.result.Wait(bed.loop()));
+  }
+  bed.Run();
+
+  const obs::Registry* reg = server->metrics();
+  const ServerStoreStats& store = server->stable_store()->stats();
+  EXPECT_GE(reg->CounterValue("server_store.snapshots_written"), 1u);
+  EXPECT_EQ(reg->CounterValue("server_store.snapshots_written"), store.snapshots_written);
+  EXPECT_EQ(reg->CounterValue("server_store.transactions_logged"), store.transactions_logged);
+  EXPECT_EQ(reg->CounterValue("stable_device.writes_ok"),
+            server->stable_store()->wal()->device()->stats().writes_ok);
+  EXPECT_GT(reg->CounterValue("stable_device.writes_ok"), 0u);
+  EXPECT_EQ(reg->CounterValue("rover_server.invokes"), server->rover()->stats().invokes);
+}
+
+using Names = std::vector<std::string>;
+
+Names RenderedNames(const obs::Registry* reg) {
+  Names names;
+  const std::string text = reg->Render(obs::RenderFormat::kText);
+  for (size_t line = 0; line < text.size(); line = text.find('\n', line) + 1) {
+    names.push_back(text.substr(line, text.find(' ', line) - line));
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+void AddNames(Names* names, const std::string& prefix,
+              std::initializer_list<const char*> fields) {
+  for (const char* f : fields) {
+    names->push_back(prefix + "." + f);
+  }
+}
+
+// Pins every metric name a client and a server node render, so a name
+// renamed or lost in a refactor fails here rather than in a dashboard.
+TEST(UnifiedRegistryTest, MetricNamesArePinned) {
+  Testbed bed;
+  RoverClientNode* client = bed.AddClient("mobile", LinkProfile::Ethernet10());
+  RegisterEcho(bed.server());
+  QrpcCall call = client->qrpc()->Call("server", "echo", {std::string("x")});
+  ASSERT_TRUE(call.result.Wait(bed.loop()));
+
+  Names both;  // bound on client and server nodes alike
+  AddNames(&both, "scheduler",
+           {"breaker_open_transitions", "breakers_open", "bytes_sent", "enqueue_rejected",
+            "frames_sent", "messages_delivered", "messages_enqueued", "messages_expired",
+            "messages_shed", "payload_bytes_cancelled", "payload_bytes_original",
+            "payload_bytes_sent", "queue_depth", "queued_payload_bytes", "retries",
+            "retry_budget_waits"});
+  AddNames(&both, "transport", {"frames_corrupt_dropped", "messages_undecodable"});
+  // Created at the first scrub before the node struct held them.
+  AddNames(&both, "storage_scrub", {"quarantined", "runs"});
+  // New: the device under the client log and under the server WAL.
+  AddNames(&both, "stable_device",
+           {"bitrot_injected", "no_space_errors", "repairs", "sync_failures",
+            "transient_errors", "writes_ok"});
+
+  Names want_client = both;
+  AddNames(&want_client, "access_manager",
+           {"cache_hits", "cache_misses", "cache_overflow_bytes", "cache_overflow_events",
+            "conflicts_resolved", "conflicts_unresolved", "degraded", "degraded_entered",
+            "delta_bytes_saved", "delta_fallbacks", "delta_full", "delta_hits",
+            "delta_not_modified", "evictions", "exports_completed", "imports_completed",
+            "invalidations_received", "local_invokes", "poll_staleness_detected",
+            "polls_sent", "prefetch_issued", "prefetches_shed", "remote_invokes",
+            "server_restarts_observed", "storage_stale_marks"});
+  AddNames(&want_client, "qrpc_client",
+           {"admission_rejected", "background_shed", "calls", "cancelled", "coalesced",
+            "completed", "deadline_exceeded", "failover_redispatches", "failovers",
+            "log_bytes", "pushback_budget_exhausted", "pushback_honored", "recovered",
+            "recovered_retries", "rpc_seconds", "storage_degraded", "storage_degraded_entered",
+            "storage_flush_failures", "storage_quarantined_calls", "storage_refused"});
+  AddNames(&want_client, "stable_log",
+           {"appends", "bytes_flushed", "compression_ratio_pct", "device_used_bytes",
+            "flush_enospc", "flush_failures", "flush_retries", "flush_seconds",
+            "flush_sync_failures", "flush_time_micros", "flush_transient_errors", "flushes",
+            "raw_bytes_appended", "records_compressed", "records_quarantined",
+            "stored_bytes_appended", "torn_tail_records_dropped"});
+  std::sort(want_client.begin(), want_client.end());
+  EXPECT_EQ(RenderedNames(client->metrics()), want_client);
+
+  Names want_server = both;
+  AddNames(&want_server, "qrpc_server",
+           {"auth_failures", "duplicate_cache_decode_failures", "duplicates",
+            "inflight_requests", "requests", "requests_rejected", "requests_rejected_storage",
+            "unknown_methods"});
+  // New: the server-side structs.
+  AddNames(&want_server, "rover_server",
+           {"delta_bytes_saved", "deltas_sent", "exports", "imports", "imports_not_modified",
+            "invalidations_expired", "invalidations_sent", "invokes", "subscribers_dropped",
+            "unsubscribes", "wal_compactions_forced", "wal_flush_failures",
+            "wal_space_exhausted", "wal_space_recoveries"});
+  AddNames(&want_server, "server_store",
+           {"recoveries", "snapshots_written", "transactions_logged",
+            "wal_interior_quarantined", "wal_records_dropped"});
+  std::sort(want_server.begin(), want_server.end());
+  EXPECT_EQ(RenderedNames(bed.server()->metrics()), want_server);
 }
 
 }  // namespace

@@ -576,15 +576,14 @@ TEST(CacheOverflowTest, UnevictableOverflowIsCountedAndGaugeClearsOnRelief) {
   // the overage is surfaced instead of growing silently.
   EXPECT_GT(client->access()->CacheBytes(), copts.access.cache_capacity_bytes);
   EXPECT_EQ(client->access()->stats().cache_overflow_events, 1u);
-  const int64_t over =
-      client->metrics()->gauge("access_manager.cache_overflow_bytes")->value();
+  const int64_t over = client->metrics()->GaugeValue("access_manager.cache_overflow_bytes");
   EXPECT_EQ(static_cast<size_t>(over),
             client->access()->CacheBytes() - copts.access.cache_capacity_bytes);
 
   // Explicit eviction relieves the overflow; the gauge returns to zero.
   client->access()->Evict("a");
   client->access()->Evict("b");
-  EXPECT_EQ(client->metrics()->gauge("access_manager.cache_overflow_bytes")->value(), 0);
+  EXPECT_EQ(client->metrics()->GaugeValue("access_manager.cache_overflow_bytes"), 0);
   // One overage episode, one event: the counter did not tick per byte.
   EXPECT_EQ(client->access()->stats().cache_overflow_events, 1u);
 }

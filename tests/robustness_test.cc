@@ -173,8 +173,8 @@ proc add {n} { global state; set state [expr {$state + $n}]; return $state }
             std::to_string(kOps));
   // Corruption really happened on the wire, and every damaged frame was
   // dropped at decode rather than handed upward.
-  EXPECT_GT(client->transport()->frames_corrupt_dropped() +
-                bed.server()->transport()->frames_corrupt_dropped(),
+  EXPECT_GT(client->transport()->stats().frames_corrupt_dropped +
+                bed.server()->transport()->stats().frames_corrupt_dropped,
             0u);
   simcheck.CheckQuiesced();
   EXPECT_TRUE(simcheck.ok()) << simcheck.Report();

@@ -523,9 +523,8 @@ TEST(StorageFaultServerTest, PeriodicScrubTimerQuarantinesRotBetweenCrashes) {
   // The timer re-arms itself, so drive the loop by horizon rather than to
   // quiescence: three periods pass, the first one after the rot finds it.
   bed.loop()->RunUntil(At(16));
-  EXPECT_GE(bed.server()->metrics()->counter("storage_scrub.runs")->value(), 3u);
-  EXPECT_EQ(bed.server()->metrics()->counter("storage_scrub.quarantined")->value(),
-            1u);
+  EXPECT_GE(bed.server()->metrics()->CounterValue("storage_scrub.runs"), 3u);
+  EXPECT_EQ(bed.server()->metrics()->CounterValue("storage_scrub.quarantined"), 1u);
 
   bed.server()->SimulateCrashAndRestart(false);
   for (const char* name : {"a", "b", "c"}) {
@@ -565,8 +564,8 @@ TEST(StorageFaultClientTest, PeriodicScrubFailsRottedCallWithoutCrash) {
   bed.loop()->RunUntil(At(40));
 
   ASSERT_NE(rotted, 0u);  // the interior record (late-a) was damaged
-  EXPECT_GE(m->metrics()->counter("storage_scrub.runs")->value(), 4u);
-  EXPECT_EQ(m->metrics()->counter("storage_scrub.quarantined")->value(), 1u);
+  EXPECT_GE(m->metrics()->CounterValue("storage_scrub.runs"), 4u);
+  EXPECT_EQ(m->metrics()->CounterValue("storage_scrub.quarantined"), 1u);
   EXPECT_GE(m->access()->stats().storage_stale_marks, 1u);
   // The intact record was resent once the link returned; the quarantined
   // call failed loudly instead of acking data it cannot replay.
