@@ -279,12 +279,12 @@ void SimCheck::OnServerExecute(const std::string& server, const std::string& cli
   TraceEvent(server + " execute " + client + "/" + std::to_string(rpc_id));
   ServerState& state = servers_[server];
   const RpcKey key{client, rpc_id};
-  if (state.executed.count(key) > 0 && state.evicted.count(key) == 0) {
+  if (state.executed.count(key) > 0) {
     AddViolation("double-execute", server,
                  "rpc " + std::to_string(rpc_id) + " from " + client +
                      " dispatched twice in one incarnation");
   }
-  if (state.survived.count(key) > 0 && state.evicted.count(key) == 0) {
+  if (state.survived.count(key) > 0) {
     AddViolation("replay-as-execute", server,
                  "rpc " + std::to_string(rpc_id) + " from " + client +
                      " re-executed although its response survived recovery");
@@ -313,21 +313,12 @@ void SimCheck::OnServerResponseDurable(const std::string& server,
   servers_[server].released_ever.insert({client, rpc_id});
 }
 
-void SimCheck::OnServerDupCacheEvict(const std::string& server,
-                                     const std::string& client, uint64_t rpc_id) {
-  TraceEvent(server + " dup-evict " + client + "/" + std::to_string(rpc_id));
-  ServerState& state = servers_[server];
-  state.evicted.insert({client, rpc_id});
-  state.evicted_ever.insert({client, rpc_id});
-}
-
 void SimCheck::OnServerCrashed(const std::string& server) {
   TraceEvent(server + " server-crash");
   ServerState& state = servers_[server];
   // New incarnation: in-flight work that never responded may legally run
   // again; what must not is captured by the recovery's survived set.
   state.executed.clear();
-  state.evicted.clear();
   state.survived.clear();
 }
 
@@ -348,7 +339,8 @@ void SimCheck::OnServerRecovered(
 
 void SimCheck::OnFailover(
     const std::string& failed_primary, const std::string& backup, uint64_t epoch,
-    const std::vector<std::pair<std::string, uint64_t>>& replicated_responses) {
+    const std::vector<std::pair<std::string, uint64_t>>& replicated_responses,
+    const std::vector<std::pair<std::string, uint64_t>>& ack_floors) {
   TraceEvent(backup + " failover from=" + failed_primary +
              " epoch=" + std::to_string(epoch) +
              " replicated=" + std::to_string(replicated_responses.size()));
@@ -370,14 +362,20 @@ void SimCheck::OnFailover(
   }
   promoted.epoch = epoch;
   // No acknowledged-work loss: every response the primary released (post
-  // backup-ack under semi-sync) must be in the backup's replicated set,
-  // minus sanctioned duplicate-cache evictions -- unless the sender had
-  // degraded to async, which withdraws the guarantee for this primary.
+  // backup-ack under semi-sync) must be in the backup's replicated set
+  // unless the client's ack floor on the backup has passed it (the client
+  // holds the response and never asks again) -- or the sender had degraded
+  // to async, which withdraws the guarantee for this primary.
   const std::set<RpcKey> replicated(replicated_responses.begin(),
                                     replicated_responses.end());
+  const std::map<std::string, uint64_t> floors(ack_floors.begin(), ack_floors.end());
   if (!primary.repl_degraded) {
     for (const RpcKey& key : primary.released_ever) {
-      if (primary.evicted_ever.count(key) > 0 || replicated.count(key) > 0) {
+      if (replicated.count(key) > 0) {
+        continue;
+      }
+      auto floor = floors.find(key.first);
+      if (floor != floors.end() && key.second < floor->second) {
         continue;
       }
       AddViolation("failover-acked-loss", failed_primary,

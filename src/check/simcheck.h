@@ -6,8 +6,8 @@
 //
 //   * at-most-once execution: a server never dispatches the same
 //     (client, rpc_id) twice within an incarnation, and never re-executes a
-//     request whose response survived recovery (duplicate-cache evictions
-//     are the one sanctioned exception);
+//     request whose response survived recovery -- with no exception, however
+//     long the client stays away;
 //   * no acknowledged-durability loss: a request whose stable-log flush was
 //     acknowledged and whose record was not legitimately withdrawn must be
 //     re-sent after a client crash, either directly or through the
@@ -23,10 +23,11 @@
 //   * session guarantees: an import served to a Session never returns a
 //     version below the session's floor (monotonic reads, read-your-writes);
 //   * failover safety: a backup promotes with an epoch that fences the dead
-//     primary, and every response the primary released to a client (minus
-//     sanctioned duplicate-cache evictions) is present in the replicated
-//     set the backup took over -- unless the primary's replication sender
-//     had announced degraded (async) shipping;
+//     primary, and every response the primary released to a client is
+//     present in the replicated set the backup took over, unless that
+//     client's ack floor on the backup has passed it (the client holds the
+//     response) or the primary's replication sender had announced degraded
+//     (async) shipping;
 //   * conservation of accounting: at quiesce, the scheduler and stable-log
 //     gauges equal the structures they mirror.
 //
@@ -98,16 +99,14 @@ class SimCheck : public obs::CheckListener {
                       uint64_t rpc_id, bool durable) override;
   void OnServerResponseDurable(const std::string& server, const std::string& client,
                                uint64_t rpc_id) override;
-  void OnServerDupCacheEvict(const std::string& server, const std::string& client,
-                             uint64_t rpc_id) override;
   void OnServerCrashed(const std::string& server) override;
   void OnServerRecovered(const std::string& server, uint64_t epoch,
                          const std::vector<std::pair<std::string, uint64_t>>&
                              survived_responses) override;
   void OnFailover(const std::string& failed_primary, const std::string& backup,
                   uint64_t epoch,
-                  const std::vector<std::pair<std::string, uint64_t>>&
-                      replicated_responses) override;
+                  const std::vector<std::pair<std::string, uint64_t>>& replicated_responses,
+                  const std::vector<std::pair<std::string, uint64_t>>& ack_floors) override;
   void OnReplicationDegraded(const std::string& primary) override;
   void OnSessionImportServed(const std::string& client, const std::string& name,
                              uint64_t version, uint64_t required, bool ok) override;
@@ -141,14 +140,11 @@ class SimCheck : public obs::CheckListener {
     uint64_t epoch = 0;
     std::set<RpcKey> executed;  // dispatched this incarnation
     std::set<RpcKey> survived;  // responses that survived the last recovery
-    std::set<RpcKey> evicted;   // dropped from the duplicate cache
     // Cumulative across incarnations (never cleared by OnServerCrashed):
     // responses actually RELEASED to a client (under semi-sync replication
-    // the release hook fires only after the backup acked) and every
-    // duplicate-cache eviction ever. Their difference is what a failover
-    // must find replicated on the backup.
+    // the release hook fires only after the backup acked). A failover must
+    // find each on the backup unless the client's ack floor passed it.
     std::set<RpcKey> released_ever;
-    std::set<RpcKey> evicted_ever;
     // Replication sender degraded to async: released responses are no
     // longer guaranteed to survive a failover of this primary.
     bool repl_degraded = false;

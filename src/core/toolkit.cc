@@ -195,9 +195,7 @@ void RoverServerNode::BuildReplication() {
     repl_sender_->SetResyncProvider([this] {
       ReplicationSender::ResyncImage img;
       img.object_image = rover_server_->store()->Serialize();
-      for (const QrpcServer::CachedResponse& cr : qrpc_server_->CachedResponses()) {
-        img.responses.push_back(CachedResponseEntry{cr.client, cr.rpc_id, cr.response});
-      }
+      img.records = qrpc_server_->AllRecords();
       img.baseline_seq = stable_store_.last_logged_id();
       img.epoch = stable_store_.epoch();
       return img;

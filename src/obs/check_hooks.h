@@ -9,7 +9,7 @@
 //
 // Identity convention: `client` and `server` are transport host names (the
 // same names message headers carry), and rpc ids are the QRPC ids the
-// duplicate-response cache is keyed by, so (client, rpc_id) names one
+// server's completion records are keyed by, so (client, rpc_id) names one
 // logical operation across crashes and resends.
 
 #ifndef ROVER_SRC_OBS_CHECK_HOOKS_H_
@@ -79,8 +79,8 @@ class CheckListener {
 
   // A handler is about to execute for (client, rpc_id) -- the application
   // of the operation. At-most-once means this fires at most once per key
-  // within a server incarnation (unless the duplicate cache evicted the
-  // key) and never for a key whose response survived recovery.
+  // within a server incarnation and never for a key whose response
+  // survived recovery.
   virtual void OnServerExecute(const std::string& server, const std::string& client,
                                uint64_t rpc_id) {}
   // A duplicate request was answered from the duplicate-response cache.
@@ -93,8 +93,10 @@ class CheckListener {
   // The response journal reported (client, rpc_id)'s transaction durable.
   virtual void OnServerResponseDurable(const std::string& server,
                                        const std::string& client, uint64_t rpc_id) {}
-  // The bounded duplicate cache evicted (client, rpc_id): a later resend of
-  // that id may legitimately re-execute.
+  // Never called: the duplicate cache frees an entry only once the client's
+  // ack floor has passed it, so nothing is ever evicted. Kept declared
+  // because the benchmark's execution counter (perfbench/) still overrides
+  // it to report qrpc.dup_cache_evictions, which now always reads 0.
   virtual void OnServerDupCacheEvict(const std::string& server,
                                      const std::string& client, uint64_t rpc_id) {}
   virtual void OnServerCrashed(const std::string& server) {}
@@ -111,12 +113,14 @@ class CheckListener {
   // is the fence the backup adopted (it must exceed every epoch the primary
   // ever used) and `replicated_responses` the (client, rpc_id) keys whose
   // responses the primary shipped before dying -- resends of those keys at
-  // the backup must replay, never re-execute, and every response the primary
-  // RELEASED to a client must appear here (no acknowledged work is lost
-  // across the failover).
+  // the backup must replay, never re-execute. `ack_floors` holds each
+  // client's ack floor on the backup. Every response the primary RELEASED to
+  // a client must appear in `replicated_responses` unless that client's
+  // floor has passed it (no acknowledged work is lost across the failover).
   virtual void OnFailover(
       const std::string& failed_primary, const std::string& backup, uint64_t epoch,
-      const std::vector<std::pair<std::string, uint64_t>>& replicated_responses) {}
+      const std::vector<std::pair<std::string, uint64_t>>& replicated_responses,
+      const std::vector<std::pair<std::string, uint64_t>>& ack_floors) {}
   // The primary's replication sender gave up on synchronous shipping (the
   // backup stopped acking past the sync timeout): responses released while
   // degraded are no longer guaranteed to survive a failover, so the checker

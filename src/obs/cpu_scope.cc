@@ -40,6 +40,8 @@ std::string_view CpuZoneName(CpuZone zone) {
       return "wal_flush";
     case CpuZone::kInvalidationFanout:
       return "invalidation_fanout";
+    case CpuZone::kDupCache:
+      return "dup_cache";
     case CpuZone::kCount:
       break;
   }

@@ -1,6 +1,7 @@
 // Per-subsystem CPU attribution. A CpuScope is an RAII cycle-counter timer
 // charged to one of a fixed set of zones (scheduler dispatch, connectivity
-// lookup, event-loop pop, marshalling, WAL flush, invalidation fan-out).
+// lookup, event-loop pop, marshalling, WAL flush, invalidation fan-out, the
+// server's duplicate cache).
 // Scopes nest: a zone is charged only its *exclusive* cycles -- time spent
 // inside an enclosed child scope is subtracted -- so the per-zone table
 // sums to (at most) total instrumented time instead of double-counting.
@@ -27,6 +28,7 @@ enum class CpuZone : uint8_t {
   kMarshal,                // frame encode/decode
   kWalFlush,               // stable log / WAL flush path
   kInvalidationFanout,     // server invalidation encode + enqueue
+  kDupCache,               // completion-record lookup, insert, prune, capture
   kCount,
 };
 

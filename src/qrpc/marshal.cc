@@ -10,6 +10,20 @@ enum class ValueTag : uint8_t {
   kBytes = 3,
 };
 
+// An upper bound on the encoded size of `value`. Encoders reserve it so the
+// fields written after a payload-sized value never make the vector grow --
+// growing doubles the allocation a cached or queued body then holds.
+size_t EncodedSizeBound(const RpcValue& value) {
+  constexpr size_t kTagAndLength = 12;
+  if (const auto* s = std::get_if<std::string>(&value)) {
+    return kTagAndLength + s->size();
+  }
+  if (const auto* b = std::get_if<Bytes>(&value)) {
+    return kTagAndLength + b->size();
+  }
+  return kTagAndLength;
+}
+
 }  // namespace
 
 void EncodeRpcValue(const RpcValue& value, WireWriter* writer) {
@@ -74,8 +88,14 @@ Result<RpcArgs> DecodeRpcArgs(WireReader* reader) {
 
 Bytes RpcRequestBody::Encode() const {
   WireWriter writer;
+  size_t bound = 32 + method.size();
+  for (const RpcValue& arg : args) {
+    bound += EncodedSizeBound(arg);
+  }
+  writer.Reserve(bound);
   writer.WriteString(method);
   EncodeRpcArgs(args, &writer);
+  writer.WriteVarint(ack_floor);
   return writer.TakeData();
 }
 
@@ -85,6 +105,7 @@ Result<RpcRequestBody> DecodeRequestFrom(WireReader* reader) {
   RpcRequestBody body;
   ROVER_ASSIGN_OR_RETURN(body.method, reader->ReadString());
   ROVER_ASSIGN_OR_RETURN(body.args, DecodeRpcArgs(reader));
+  ROVER_ASSIGN_OR_RETURN(body.ack_floor, reader->ReadVarint());
   return body;
 }
 
@@ -109,6 +130,7 @@ Status RpcResponseBody::ToStatus() const {
 
 Bytes RpcResponseBody::Encode() const {
   WireWriter writer;
+  writer.Reserve(32 + error_message.size() + EncodedSizeBound(result));
   writer.WriteVarint(static_cast<uint64_t>(code));
   writer.WriteString(error_message);
   EncodeRpcValue(result, &writer);

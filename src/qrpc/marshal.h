@@ -26,10 +26,15 @@ Result<RpcValue> DecodeRpcValue(WireReader* reader);
 void EncodeRpcArgs(const RpcArgs& args, WireWriter* writer);
 Result<RpcArgs> DecodeRpcArgs(WireReader* reader);
 
-// Request payload: method name + args.
+// Request payload: method name + args, plus the caller's ack floor.
 struct RpcRequestBody {
   std::string method;
   RpcArgs args;
+  // The calling client's ack watermark: every rpc id below it is resolved
+  // at the client and will never be sent again, so the server may free
+  // those completion records (and drop a late frame for one unexecuted).
+  // 0 = no information. Set at Call() time; a stale, lower floor is safe.
+  uint64_t ack_floor = 0;
 
   Bytes Encode() const;
   static Result<RpcRequestBody> Decode(const Bytes& payload);

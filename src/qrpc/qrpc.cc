@@ -1,7 +1,9 @@
 #include "src/qrpc/qrpc.h"
 
+#include <algorithm>
 #include <utility>
 
+#include "src/obs/cpu_scope.h"
 #include "src/util/logging.h"
 
 namespace rover {
@@ -41,6 +43,7 @@ const obs::Schema<QrpcServerStats> kServerMetrics(
      {"duplicate_cache_decode_failures", &QrpcServerStats::duplicate_cache_decode_failures},
      {"requests_rejected", &QrpcServerStats::requests_rejected},
      {"requests_rejected_storage", &QrpcServerStats::requests_rejected_storage},
+     {"stale_requests_dropped", &QrpcServerStats::stale_requests_dropped},
      {"inflight_requests", &QrpcServerStats::inflight_requests}});
 
 }  // namespace
@@ -202,6 +205,31 @@ Result<QrpcClient::ParsedLogRecord> QrpcClient::DecodeLogRecord(const Buffer& da
   return out;
 }
 
+uint64_t QrpcClient::AckFloor(uint64_t rpc_id) {
+  uint64_t floor = rpc_id;
+  if (!outstanding_.empty()) {
+    floor = std::min(floor, outstanding_.begin()->first);
+  }
+  const uint64_t front = log_ == nullptr ? 0 : log_->FrontRecordId();
+  if (front == 0) {
+    return floor;
+  }
+  if (front != log_front_record_) {
+    // Records are appended in rpc-id order, so the front holds the lowest
+    // id in the log. An unreadable front gives no information: floor 0.
+    log_front_record_ = front;
+    log_front_rpc_id_ = 0;
+    if (const StableLog::Record* rec = log_->FindRecord(front)) {
+      if (auto payload = log_->RecordPayload(*rec); payload.ok()) {
+        if (auto parsed = DecodeLogRecord(*payload); parsed.ok()) {
+          log_front_rpc_id_ = parsed->rpc_id;
+        }
+      }
+    }
+  }
+  return std::min(floor, log_front_rpc_id_);
+}
+
 bool QrpcClient::OverBudget(size_t record_size, bool logged) const {
   if (options_.max_outstanding_calls > 0 &&
       outstanding_.size() + 1 > options_.max_outstanding_calls) {
@@ -228,6 +256,7 @@ QrpcCall QrpcClient::Call(const std::string& dest, const std::string& method, Rp
   RpcRequestBody request;
   request.method = method;
   request.args = std::move(args);
+  request.ack_floor = AckFloor(call.rpc_id);
   // One allocation for the body's whole lifetime: retained copy, queued
   // message payload, and failover re-dispatch all share it by refcount.
   Buffer body(request.Encode());
@@ -968,52 +997,124 @@ void QrpcServer::BindMetrics(obs::Registry* registry) {
 }
 
 bool QrpcServer::CorruptCachedResponseForTest(const std::string& client, uint64_t rpc_id) {
-  auto it = done_.find(ClientRpcKeyView{client, rpc_id});
-  if (it == done_.end()) {
+  Completion* c = FindCompletion(client, rpc_id);
+  if (c == nullptr || c->state == Completion::State::kInProgress) {
     return false;
   }
   // In-place damage through the copy-on-write door: snapshots or journal
   // entries sharing these bytes keep the intact original.
-  uint8_t* p = it->second.MutableData();
-  for (size_t i = 0; i < it->second.size(); ++i) {
+  uint8_t* p = c->response.MutableData();
+  for (size_t i = 0; i < c->response.size(); ++i) {
     p[i] = 0xff;  // undecodable garbage (0xff is not a valid status varint)
   }
-  if (it->second.empty()) {
-    it->second = Buffer(Bytes{0xff, 0xff, 0xff});
+  if (c->response.empty()) {
+    c->response = Buffer(Bytes{0xff, 0xff, 0xff});
   }
   return true;
 }
 
-std::vector<QrpcServer::CachedResponse> QrpcServer::CachedResponses() const {
-  std::vector<CachedResponse> out;
-  out.reserve(done_order_.size());
-  // Walk in eviction order so a restore preserves the cache's age ranking.
-  for (const auto& key : done_order_) {
-    auto it = done_.find(key);
-    if (it != done_.end()) {
-      out.push_back(CachedResponse{key.first, key.second, it->second});
+QrpcServer::RecordEntry& QrpcServer::RecordFor(const std::string& client) {
+  auto it = records_.find(std::string_view(client));
+  if (it == records_.end()) {
+    it = records_.emplace(client, ClientRecord{}).first;
+  }
+  return *it;
+}
+
+QrpcServer::Completion* QrpcServer::FindCompletion(std::string_view client, uint64_t rpc_id) {
+  auto it = records_.find(client);
+  if (it == records_.end()) {
+    return nullptr;
+  }
+  auto c = it->second.completions.find(rpc_id);
+  return c == it->second.completions.end() ? nullptr : &c->second;
+}
+
+void QrpcServer::RaiseFloor(RecordEntry& entry, uint64_t ack_floor) {
+  ClientRecord& record = entry.second;
+  if (ack_floor <= record.ack_floor) {
+    return;
+  }
+  record.ack_floor = ack_floor;
+  // An entry freed while its handler still runs is simply not cached when
+  // the handler responds: the client has already given up on that id.
+  record.completions.erase(record.completions.begin(),
+                           record.completions.lower_bound(ack_floor));
+  MarkChanged(entry);
+}
+
+void QrpcServer::MarkChanged(RecordEntry& entry) {
+  if (!entry.second.changed) {
+    entry.second.changed = true;
+    changed_.push_back(&entry);
+  }
+}
+
+CompletionRecord QrpcServer::ImageOf(const std::string& client, const ClientRecord& record) {
+  CompletionRecord image;
+  image.client = client;
+  image.ack_floor = record.ack_floor;
+  image.responses.reserve(record.completions.size());
+  for (const auto& [rpc_id, c] : record.completions) {
+    // In-progress ids have no response to persist; undurable ones do (a
+    // WAL-space reclaim snapshot is what makes them durable).
+    if (c.state != Completion::State::kInProgress) {
+      image.responses.emplace_back(rpc_id, c.response);
     }
   }
+  return image;
+}
+
+std::vector<CompletionRecord> QrpcServer::TakeChangedRecords() {
+  obs::CpuScope cpu(obs::CpuZone::kDupCache);
+  std::vector<CompletionRecord> out;
+  out.reserve(changed_.size());
+  for (RecordEntry* entry : changed_) {
+    entry->second.changed = false;
+    out.push_back(ImageOf(entry->first, entry->second));
+  }
+  changed_.clear();
   return out;
 }
 
-void QrpcServer::EvictDupCacheOverflow() {
-  while (done_order_.size() > options_.duplicate_cache_max) {
-    const auto victim = done_order_.front();
-    done_.erase(victim);
-    done_order_.pop_front();
-    if (check_ != nullptr) {
-      check_->OnServerDupCacheEvict(self(), victim.first, victim.second);
-    }
+std::vector<CompletionRecord> QrpcServer::AllRecords() const {
+  std::vector<CompletionRecord> out;
+  out.reserve(records_.size());
+  for (const auto& [client, record] : records_) {
+    out.push_back(ImageOf(client, record));
   }
+  // Hash order is not stable across builds; the image is shipped and
+  // audited, so give it a deterministic order.
+  std::sort(out.begin(), out.end(), [](const CompletionRecord& a, const CompletionRecord& b) {
+    return a.client < b.client;
+  });
+  return out;
 }
 
-void QrpcServer::RestoreCachedResponse(std::string client, uint64_t rpc_id, Buffer response) {
-  const auto key = std::make_pair(std::move(client), rpc_id);
-  if (done_.emplace(key, std::move(response)).second) {
-    done_order_.push_back(key);
-    EvictDupCacheOverflow();
+void QrpcServer::RestoreRecord(const CompletionRecord& image) {
+  RecordEntry& entry = RecordFor(image.client);
+  RaiseFloor(entry, image.ack_floor);
+  for (const auto& [rpc_id, response] : image.responses) {
+    if (rpc_id >= entry.second.ack_floor) {
+      entry.second.completions[rpc_id] = {Completion::State::kDurable, response};
+    }
   }
+  MarkChanged(entry);
+}
+
+void QrpcServer::RestoreCompletion(const std::string& client, uint64_t ack_floor,
+                                   uint64_t rpc_id, Buffer response) {
+  RecordEntry& entry = RecordFor(client);
+  RaiseFloor(entry, ack_floor);
+  if (rpc_id >= entry.second.ack_floor) {
+    entry.second.completions[rpc_id] = {Completion::State::kDurable, std::move(response)};
+  }
+  MarkChanged(entry);
+}
+
+uint64_t QrpcServer::AckFloor(const std::string& client) const {
+  auto it = records_.find(std::string_view(client));
+  return it == records_.end() ? 0 : it->second.ack_floor;
 }
 
 void QrpcServer::RegisterHandler(const std::string& method, Handler handler) {
@@ -1051,51 +1152,62 @@ void QrpcServer::HandleRequest(const Message& msg) {
                  msg.header.reply_via, body);
     return;
   }
-  // Probe the dup-cache with a view over the header -- no std::string is
-  // materialized unless this request actually starts executing.
-  const ClientRpcKeyView lookup{std::string_view(msg.header.src),
-                                msg.header.message_id};
-
-  // At-most-once: a completed request is answered from the cache; an
-  // in-progress one is dropped (its response is already on the way).
-  auto done_it = done_.find(lookup);
-  if (done_it != done_.end()) {
-    ++stats_.duplicates;
-    if (undurable_responses_.count(lookup) > 0) {
-      // The entry's response journal has not reported durable yet: a crash
-      // could still lose the transaction this response acknowledges, so a
-      // replay now would hand the client an answer the server might forget.
-      // Drop the duplicate; the journal-gated original send (pending on the
-      // same release) will answer, or the client resends after it.
-      return;
+  const uint64_t rpc_id = msg.header.message_id;
+  {
+    obs::CpuScope cpu(obs::CpuZone::kDupCache);
+    // Probe with a view over the header -- no std::string is materialized
+    // unless this request actually starts executing.
+    auto rec = records_.find(std::string_view(msg.header.src));
+    if (rec != records_.end()) {
+      if (rpc_id < rec->second.ack_floor) {
+        // The client resolved this id before it sent its floor past it, and
+        // never sends it again: this is a late or duplicated frame. Its
+        // entry is gone, so drop it -- executing it would run it twice.
+        ++stats_.stale_requests_dropped;
+        return;
+      }
+      auto found = rec->second.completions.find(rpc_id);
+      if (found != rec->second.completions.end()) {
+        // At-most-once: an in-progress request is dropped (its response is
+        // already on the way), a finished one is answered from the cache.
+        ++stats_.duplicates;
+        const Completion& c = found->second;
+        if (c.state == Completion::State::kInProgress) {
+          return;
+        }
+        if (c.state == Completion::State::kUndurable) {
+          // The response journal has not reported durable yet: a crash could
+          // still lose the transaction this response acknowledges, so a
+          // replay now would hand the client an answer the server might
+          // forget. Drop the duplicate; the journal-gated original send
+          // answers the client anyway.
+          return;
+        }
+        if (check_ != nullptr) {
+          // Reports the state as-is rather than asserting it: the gate above
+          // makes this always durable, and a regression of that gate then
+          // shows up as an undurable-replay violation in SimCheck.
+          check_->OnServerReplay(self(), msg.header.src, rpc_id,
+                                 /*durable=*/c.state == Completion::State::kDurable);
+        }
+        auto decoded = RpcResponseBody::Decode(c.response);
+        if (!decoded.ok()) {
+          // The cached bytes are corrupt. Replying with a default-constructed
+          // body would tell the client "OK, empty result" for a request whose
+          // real outcome is unknown -- report the loss honestly instead.
+          ++stats_.duplicate_cache_decode_failures;
+          RpcResponseBody body;
+          body.code = StatusCode::kDataLoss;
+          body.error_message = "duplicate-response cache entry corrupt";
+          SendResponse(msg.header.src, rpc_id, msg.header.priority, msg.header.reply_via,
+                       body);
+          return;
+        }
+        SendResponse(msg.header.src, rpc_id, msg.header.priority, msg.header.reply_via,
+                     *decoded);
+        return;
+      }
     }
-    if (check_ != nullptr) {
-      // Reports the journal state as-is rather than asserting it: the gate
-      // above makes this always durable, and a regression of that gate then
-      // shows up as an undurable-replay violation in SimCheck.
-      check_->OnServerReplay(self(), msg.header.src, msg.header.message_id,
-                             /*durable=*/undurable_responses_.count(lookup) == 0);
-    }
-    auto decoded = RpcResponseBody::Decode(done_it->second);
-    if (!decoded.ok()) {
-      // The cached bytes are corrupt. Replying with a default-constructed
-      // body would tell the client "OK, empty result" for a request whose
-      // real outcome is unknown -- report the loss honestly instead.
-      ++stats_.duplicate_cache_decode_failures;
-      RpcResponseBody body;
-      body.code = StatusCode::kDataLoss;
-      body.error_message = "duplicate-response cache entry corrupt";
-      SendResponse(msg.header.src, msg.header.message_id, msg.header.priority,
-                   msg.header.reply_via, body);
-      return;
-    }
-    SendResponse(msg.header.src, msg.header.message_id, msg.header.priority,
-                 msg.header.reply_via, *decoded);
-    return;
-  }
-  if (in_progress_.count(lookup) > 0) {
-    ++stats_.duplicates;
-    return;
   }
 
   // Admission: past the concurrency limit, refuse with kUnavailable and a
@@ -1104,17 +1216,16 @@ void QrpcServer::HandleRequest(const Message& msg) {
   // "server overloaded" forever. Duplicates (above) are still answered from
   // the cache even under overload: a replay costs no handler execution.
   if (options_.max_concurrent_requests > 0 &&
-      in_progress_.size() >= options_.max_concurrent_requests) {
+      executing_ >= options_.max_concurrent_requests) {
     ++stats_.requests_rejected;
     const Duration hint =
         options_.pushback_retry_after +
-        options_.dispatch_cost * static_cast<double>(in_progress_.size());
+        options_.dispatch_cost * static_cast<double>(executing_);
     RpcResponseBody body;
     body.code = StatusCode::kUnavailable;
     body.error_message = "server over concurrency limit";
     body.retry_after_micros = static_cast<uint64_t>(hint.micros());
-    SendResponse(msg.header.src, msg.header.message_id, msg.header.priority,
-                 msg.header.reply_via, body);
+    SendResponse(msg.header.src, rpc_id, msg.header.priority, msg.header.reply_via, body);
     return;
   }
 
@@ -1131,8 +1242,7 @@ void QrpcServer::HandleRequest(const Message& msg) {
     body.error_message = "server storage degraded (WAL device full)";
     body.retry_after_micros =
         static_cast<uint64_t>(options_.pushback_retry_after.micros());
-    SendResponse(msg.header.src, msg.header.message_id, msg.header.priority,
-                 msg.header.reply_via, body);
+    SendResponse(msg.header.src, rpc_id, msg.header.priority, msg.header.reply_via, body);
     return;
   }
 
@@ -1141,8 +1251,7 @@ void QrpcServer::HandleRequest(const Message& msg) {
     RpcResponseBody body;
     body.code = StatusCode::kDataLoss;
     body.error_message = "malformed request";
-    SendResponse(msg.header.src, msg.header.message_id, msg.header.priority,
-                 msg.header.reply_via, body);
+    SendResponse(msg.header.src, rpc_id, msg.header.priority, msg.header.reply_via, body);
     return;
   }
 
@@ -1158,50 +1267,71 @@ void QrpcServer::HandleRequest(const Message& msg) {
     RpcResponseBody body;
     body.code = StatusCode::kUnimplemented;
     body.error_message = "no handler for method " + request->method;
-    SendResponse(msg.header.src, msg.header.message_id, msg.header.priority,
-                 msg.header.reply_via, body);
+    SendResponse(msg.header.src, rpc_id, msg.header.priority, msg.header.reply_via, body);
     return;
   }
 
   // The request executes: now build the owning key that outlives the header.
-  const ClientRpcKey key = std::make_pair(msg.header.src, msg.header.message_id);
-  in_progress_.insert(key);
-  stats_.inflight_requests = static_cast<int64_t>(in_progress_.size());
-  const std::string src = msg.header.src;
-  const uint64_t rpc_id = msg.header.message_id;
+  const std::pair<std::string, uint64_t> key(msg.header.src, rpc_id);
+  {
+    obs::CpuScope cpu(obs::CpuZone::kDupCache);
+    RecordEntry& entry = RecordFor(key.first);
+    // The floor never passes the request carrying it: a floor above the
+    // request's own id would free the entry this execution is about to fill.
+    RaiseFloor(entry, std::min(request->ack_floor, rpc_id));
+    entry.second.completions[rpc_id].state = Completion::State::kInProgress;
+  }
+  ++executing_;
+  stats_.inflight_requests = static_cast<int64_t>(executing_);
   const Priority priority = msg.header.priority;
   const std::string reply_via = msg.header.reply_via;
-  Responder respond = [this, key, src, rpc_id, priority, reply_via,
+  Responder respond = [this, key, priority, reply_via,
                        alive = std::weak_ptr<char>(alive_)](RpcResponseBody body) {
     if (alive.expired()) {
       return;  // handler outlived the server (simulated crash)
     }
-    in_progress_.erase(key);
-    stats_.inflight_requests = static_cast<int64_t>(in_progress_.size());
+    const std::string& src = key.first;
+    const uint64_t rpc_id = key.second;
+    --executing_;
+    stats_.inflight_requests = static_cast<int64_t>(executing_);
     // Cached/journaled without an epoch stamp. One allocation: the cache
     // entry and the journal's copy share it by refcount.
     Buffer encoded(body.Encode());
-    done_[key] = encoded;
-    done_order_.push_back(key);
-    EvictDupCacheOverflow();
+    uint64_t ack_floor = 0;
+    {
+      obs::CpuScope cpu(obs::CpuZone::kDupCache);
+      RecordEntry& entry = RecordFor(src);
+      ack_floor = entry.second.ack_floor;
+      auto c = entry.second.completions.find(rpc_id);
+      if (c != entry.second.completions.end()) {
+        c->second.state = response_journal_ ? Completion::State::kUndurable
+                                            : Completion::State::kDurable;
+        c->second.response = encoded;
+        MarkChanged(entry);
+      }
+    }
     if (response_journal_) {
       // Write-ahead: the response leaves only after the journal reports the
       // entry durable. A crash in between means the client never saw an
-      // answer and safely resends. Until then the cached entry must not be
-      // replayed to duplicates either -- see undurable_responses_.
-      undurable_responses_.insert(key);
+      // answer and safely resends. Until then the cached entry is not
+      // replayed to duplicates either (Completion::State::kUndurable). The
+      // journal runs even when the floor already freed the entry: the
+      // handler's mutations still need their transaction.
       auto body_ptr = std::make_shared<RpcResponseBody>(std::move(body));
       response_journal_(
-          src, rpc_id, encoded,
-          [this, key, src, rpc_id, priority, reply_via, body_ptr,
-           alive2 = std::weak_ptr<char>(alive_)] {
-            if (!alive2.expired()) {
-              undurable_responses_.erase(key);
-              if (check_ != nullptr) {
-                check_->OnServerResponseDurable(self(), src, rpc_id);
-              }
-              SendResponse(src, rpc_id, priority, reply_via, std::move(*body_ptr));
+          src, rpc_id, ack_floor, encoded,
+          [this, key, priority, reply_via, body_ptr, alive2 = std::weak_ptr<char>(alive_)] {
+            if (alive2.expired()) {
+              return;
             }
+            if (Completion* c = FindCompletion(key.first, key.second);
+                c != nullptr && c->state == Completion::State::kUndurable) {
+              c->state = Completion::State::kDurable;
+            }
+            if (check_ != nullptr) {
+              check_->OnServerResponseDurable(self(), key.first, key.second);
+            }
+            SendResponse(key.first, key.second, priority, reply_via, std::move(*body_ptr));
           });
     } else {
       SendResponse(src, rpc_id, priority, reply_via, std::move(body));

@@ -4,20 +4,24 @@
 // scheduler, which delivers it whenever connectivity permits. The caller
 // receives two promises: one for the local commit, one for the eventual
 // result. The server engine dispatches requests to registered handlers and
-// guarantees at-most-once execution with a duplicate-response cache keyed
-// by (client, rpc id), so client crash-recovery resends are safe.
+// guarantees at-most-once execution with per-client completion records:
+// each request carries the client's ack floor, the server keeps the
+// response of every rpc id at or above it, and frees an entry exactly when
+// the floor passes it -- so client crash-recovery resends are safe however
+// long the client stays away.
 
 #ifndef ROVER_SRC_QRPC_QRPC_H_
 #define ROVER_SRC_QRPC_QRPC_H_
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -328,6 +332,12 @@ class QrpcClient {
   // engaged and `dest` is the (logical) primary, otherwise `dest` itself.
   const std::string& ResolveDest(const std::string& dest) const;
   void MaybeTruncateLog();
+  // The ack floor a new call `rpc_id` carries: the lowest rpc id this client
+  // may still send -- its oldest outstanding call, or the oldest request
+  // still in the stable log (a coalesced predecessor, or an answered record
+  // behind one, which crash recovery would resend). Every id below it is
+  // resolved for good, so the server may free its completion entry.
+  uint64_t AckFloor(uint64_t rpc_id);
   void Trace(uint64_t rpc_id, obs::RpcEvent event);
   const std::string& self() const { return transport_->local_host(); }
 
@@ -341,6 +351,10 @@ class QrpcClient {
   QrpcClientOptions options_;
   RetryBudget pushback_budget_;
   uint64_t next_rpc_id_ = 1;
+  // Rpc id of the stable log's front record, cached by its record id (the
+  // front changes only when truncation or withdrawal removes it).
+  uint64_t log_front_record_ = 0;
+  uint64_t log_front_rpc_id_ = 0;
   std::map<uint64_t, Outstanding> outstanding_;
   // Log record ids whose rpc has completed; truncated once contiguous with
   // the log head.
@@ -370,7 +384,6 @@ class QrpcClient {
 };
 
 struct QrpcServerOptions {
-  size_t duplicate_cache_max = 4096;
   // When non-empty, requests must carry one of these tokens in their
   // message header; others are refused with PERMISSION_DENIED.
   std::set<std::string> accepted_tokens;
@@ -397,7 +410,20 @@ struct QrpcServerStats {
   uint64_t duplicate_cache_decode_failures = 0;
   uint64_t requests_rejected = 0;  // refused with kUnavailable + retry-after
   uint64_t requests_rejected_storage = 0;  // refused while WAL space recovers
+  // Requests whose rpc id is below their client's ack floor: the client
+  // already resolved them, so a late frame is dropped, never executed.
+  uint64_t stale_requests_dropped = 0;
   int64_t inflight_requests = 0;  // gauge: requests executing right now
+};
+
+// The durable image of one client's completion record: the client's ack
+// floor and the finished responses at or above it, ascending by rpc id.
+// Snapshots, recovery and the replication resync carry these.
+struct CompletionRecord {
+  std::string client;
+  uint64_t ack_floor = 0;
+  // (rpc id, encoded response); the Buffers share storage with the cache.
+  std::vector<std::pair<uint64_t, Buffer>> responses;
 };
 
 class QrpcServer {
@@ -421,26 +447,30 @@ class QrpcServer {
 
   // Write-ahead hook for the duplicate-response cache. When set, every
   // handler response is journaled *before* its wire send: the journal
-  // receives the cached bytes plus a `release` closure and must invoke it
-  // once the entry (and any state the request mutated) is durable. If the
-  // server dies first, the response is never sent, the client resends, and
-  // recovery replays neither the mutation nor the response -- the two stay
-  // atomic. Error replies produced outside handlers (auth, unknown method,
-  // malformed request) are not journaled, matching the cache itself.
-  using ResponseJournal =
-      std::function<void(const std::string& client, uint64_t rpc_id,
-                         const Buffer& encoded_response, std::function<void()> release)>;
+  // receives the cached bytes, the client's ack floor at that moment, and a
+  // `release` closure, and must invoke the closure once the entry (and any
+  // state the request mutated) is durable. If the server dies first, the
+  // response is never sent, the client resends, and recovery replays
+  // neither the mutation nor the response -- the two stay atomic. Error
+  // replies produced outside handlers (auth, unknown method, malformed
+  // request) are not journaled, matching the cache itself.
+  using ResponseJournal = std::function<void(
+      const std::string& client, uint64_t rpc_id, uint64_t ack_floor,
+      const Buffer& encoded_response, std::function<void()> release)>;
   void SetResponseJournal(ResponseJournal journal) { response_journal_ = std::move(journal); }
 
-  // Duplicate-cache persistence: snapshot for compaction, restore on
-  // recovery (restored entries re-enter the bounded eviction order).
-  struct CachedResponse {
-    std::string client;
-    uint64_t rpc_id = 0;
-    Buffer response;  // shares storage with the cache entry
-  };
-  std::vector<CachedResponse> CachedResponses() const;
-  void RestoreCachedResponse(std::string client, uint64_t rpc_id, Buffer response);
+  // Completion-record persistence. TakeChangedRecords returns the records
+  // whose image changed since its previous call (what a snapshot writes)
+  // and clears the change marks; AllRecords is the full image (resync,
+  // audits). The restore paths merge: the floor only rises, entries below
+  // it are freed, and a restored client is marked changed.
+  std::vector<CompletionRecord> TakeChangedRecords();
+  std::vector<CompletionRecord> AllRecords() const;
+  void RestoreRecord(const CompletionRecord& record);
+  void RestoreCompletion(const std::string& client, uint64_t ack_floor, uint64_t rpc_id,
+                         Buffer response);
+  // The client's ack floor as this server knows it (0 = none yet).
+  uint64_t AckFloor(const std::string& client) const;
 
   // Identity of the request whose handler is executing right now, or
   // nullptr outside handler dispatch. Lets store-level journaling attribute
@@ -449,8 +479,8 @@ class QrpcServer {
     return has_current_request_ ? &current_request_ : nullptr;
   }
 
-  // Reports execute/replay/durability/eviction events to an external
-  // invariant checker. Null disables (the default).
+  // Reports execute/replay/durability events to an external invariant
+  // checker. Null disables (the default).
   void SetCheckListener(obs::CheckListener* listener) { check_ = listener; }
 
   // Exposes stats() through `registry` as "qrpc_server.*".
@@ -472,28 +502,45 @@ class QrpcServer {
   bool storage_degraded() const { return storage_degraded_; }
 
  private:
-  // Dup-cache key: (client host, rpc id). The transparent comparator lets
-  // the per-request lookups probe with a string_view over the message
-  // header instead of materializing a std::string first (the owning key is
-  // built only when an entry is actually inserted).
-  using ClientRpcKey = std::pair<std::string, uint64_t>;
-  using ClientRpcKeyView = std::pair<std::string_view, uint64_t>;
-  struct ClientRpcKeyLess {
-    using is_transparent = void;
-    static ClientRpcKeyView View(const ClientRpcKey& k) {
-      return {std::string_view(k.first), k.second};
-    }
-    static ClientRpcKeyView View(const ClientRpcKeyView& k) { return k; }
-    template <typename A, typename B>
-    bool operator()(const A& a, const B& b) const {
-      return View(a) < View(b);
-    }
+  // One rpc id at or above its client's ack floor.
+  struct Completion {
+    // kUndurable: finished and cached, but the response journal has not
+    // reported the entry durable. A duplicate is dropped, not replayed: the
+    // cached response acknowledges a transaction a crash could still lose,
+    // and the journal-gated original send answers the client anyway once
+    // the entry is durable.
+    enum class State : uint8_t { kInProgress, kUndurable, kDurable };
+    State state = State::kInProgress;
+    // Encoded response once finished. Caching, journaling, replication
+    // shipping and the replay send all share this one allocation.
+    Buffer response;
   };
+  // Per-client completion record (RIFL-style): every id below `ack_floor`
+  // was resolved at the client and is freed here; ids at or above it keep
+  // their entry until the floor passes them, however long that takes.
+  struct ClientRecord {
+    uint64_t ack_floor = 0;
+    std::map<uint64_t, Completion> completions;
+    bool changed = false;  // image differs from the last TakeChangedRecords
+  };
+  struct StringHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const { return std::hash<std::string_view>{}(s); }
+  };
+  using RecordMap = std::unordered_map<std::string, ClientRecord, StringHash, std::equal_to<>>;
+  using RecordEntry = RecordMap::value_type;
 
   void HandleRequest(const Message& msg);
   void SendResponse(const std::string& dst, uint64_t rpc_id, Priority priority,
                     const std::string& reply_via, RpcResponseBody body);
-  void EvictDupCacheOverflow();
+  // The record for `client`, created on first use.
+  RecordEntry& RecordFor(const std::string& client);
+  // Raises the record's floor to `ack_floor` (never lowers it), frees every
+  // entry below it, and marks the record changed when the floor moved.
+  void RaiseFloor(RecordEntry& entry, uint64_t ack_floor);
+  void MarkChanged(RecordEntry& entry);
+  Completion* FindCompletion(std::string_view client, uint64_t rpc_id);
+  static CompletionRecord ImageOf(const std::string& client, const ClientRecord& record);
   const std::string& self() const { return transport_->local_host(); }
 
   EventLoop* loop_;
@@ -512,19 +559,12 @@ class QrpcServer {
   bool storage_degraded_ = false;
   std::map<std::string, Handler> handlers_;
   Handler default_handler_;
-  // (client host, rpc id) -> cached response for at-most-once execution.
-  // Buffer values: caching, journaling, replication shipping, and the
-  // replay send all share one allocation of the encoded response.
-  std::map<ClientRpcKey, Buffer, ClientRpcKeyLess> done_;
-  std::deque<ClientRpcKey> done_order_;
-  std::set<ClientRpcKey, ClientRpcKeyLess> in_progress_;
-  // Keys in done_ whose response-journal write has not yet been reported
-  // durable. A duplicate request for such a key is dropped, not replayed:
-  // the cached response acknowledges a transaction a crash could still
-  // lose, and the journal-gated original send answers the client anyway
-  // once the entry is durable. Entries leave via the journal release; a
-  // crash discards the whole set with the rest of process state.
-  std::set<ClientRpcKey, ClientRpcKeyLess> undurable_responses_;
+  // client host -> completion record. Records are never erased (one per
+  // client, a floor plus the few entries above it), so the element
+  // pointers in `changed_` stay valid.
+  RecordMap records_;
+  std::vector<RecordEntry*> changed_;
+  size_t executing_ = 0;  // handlers dispatched and not yet responded
   obs::Binding metrics_binding_;
 };
 

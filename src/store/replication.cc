@@ -42,23 +42,6 @@ Bytes EncodeResyncRequest(uint64_t last_applied) {
   return writer.TakeData();
 }
 
-Bytes EncodeSnapshotMessage(const ReplicationSender::ResyncImage& image) {
-  WireWriter writer;
-  writer.WriteString(kTagSnapshot);
-  writer.WriteVarint(image.baseline_seq);
-  writer.WriteVarint(image.epoch);
-  writer.WriteBytes(image.object_image);
-  writer.WriteVarint(image.responses.size());
-  for (const CachedResponseEntry& r : image.responses) {
-    writer.WriteString(r.client);
-    writer.WriteVarint(r.rpc_id);
-    writer.WriteVarint(r.response.size());
-    ChargePayloadCopy(r.response.size());
-    writer.WriteRaw(r.response.data(), r.response.size());
-  }
-  return writer.TakeData();
-}
-
 const obs::Schema<ReplicationSenderStats> kSenderMetrics(
     "replication_sender", {{"txns_shipped", &ReplicationSenderStats::transactions_shipped},
                            {"bytes_shipped", &ReplicationSenderStats::bytes_shipped},
@@ -79,6 +62,69 @@ const obs::Schema<ReplicationReceiverStats> kReceiverMetrics(
      {"last_applied", &ReplicationReceiverStats::last_applied}});
 
 }  // namespace
+
+Bytes ReplicationSender::ResyncImage::Encode() const {
+  WireWriter writer;
+  writer.WriteString(kTagSnapshot);
+  writer.WriteVarint(baseline_seq);
+  writer.WriteVarint(epoch);
+  writer.WriteBytes(object_image);
+  writer.WriteVarint(records.size());
+  for (const CompletionRecord& record : records) {
+    writer.WriteString(record.client);
+    writer.WriteVarint(record.ack_floor);
+    writer.WriteVarint(record.responses.size());
+    for (const auto& [rpc_id, response] : record.responses) {
+      writer.WriteVarint(rpc_id);
+      writer.WriteVarint(response.size());
+      ChargePayloadCopy(response.size());
+      writer.WriteRaw(response.data(), response.size());
+    }
+  }
+  return writer.TakeData();
+}
+
+Result<ReplicationSender::ResyncImage> ReplicationSender::ResyncImage::Decode(
+    const Buffer& payload) {
+  WireReader reader(payload.data(), payload.size());
+  ROVER_ASSIGN_OR_RETURN(std::string tag, reader.ReadString());
+  if (tag != kTagSnapshot) {
+    return DataLossError("not a resync image");
+  }
+  ResyncImage image;
+  ROVER_ASSIGN_OR_RETURN(image.baseline_seq, reader.ReadVarint());
+  ROVER_ASSIGN_OR_RETURN(image.epoch, reader.ReadVarint());
+  ROVER_ASSIGN_OR_RETURN(image.object_image, reader.ReadBytes());
+  // Every record and response takes at least one byte, so a count above the
+  // bytes left is hostile or corrupt: refuse it up front.
+  ROVER_ASSIGN_OR_RETURN(uint64_t record_count, reader.ReadVarint());
+  if (record_count > reader.remaining()) {
+    return DataLossError("resync image record count implausible");
+  }
+  for (uint64_t i = 0; i < record_count; ++i) {
+    CompletionRecord record;
+    ROVER_ASSIGN_OR_RETURN(record.client, reader.ReadString());
+    ROVER_ASSIGN_OR_RETURN(record.ack_floor, reader.ReadVarint());
+    ROVER_ASSIGN_OR_RETURN(uint64_t response_count, reader.ReadVarint());
+    if (response_count > reader.remaining()) {
+      return DataLossError("resync image response count implausible");
+    }
+    for (uint64_t j = 0; j < response_count; ++j) {
+      ROVER_ASSIGN_OR_RETURN(uint64_t rpc_id, reader.ReadVarint());
+      ROVER_ASSIGN_OR_RETURN(uint64_t response_len, reader.ReadVarint());
+      if (response_len > reader.remaining()) {
+        return DataLossError("truncated response in resync image");
+      }
+      ROVER_ASSIGN_OR_RETURN(const uint8_t* response_ptr, reader.ReadRaw(response_len));
+      // A slice of the frame: the adopted cache entry keeps it alive.
+      record.responses.emplace_back(
+          rpc_id, payload.Slice(static_cast<size_t>(response_ptr - payload.data()),
+                                static_cast<size_t>(response_len)));
+    }
+    image.records.push_back(std::move(record));
+  }
+  return image;
+}
 
 ReplicationSender::ReplicationSender(EventLoop* loop, TransportManager* transport,
                                      ReplicationOptions options)
@@ -163,7 +209,7 @@ void ReplicationSender::ServeResync() {
   msg.header.type = MessageType::kControl;
   msg.header.priority = Priority::kDefault;
   msg.header.dst = options_.peer;
-  msg.payload = EncodeSnapshotMessage(image);
+  msg.payload = image.Encode();
   transport_->Send(std::move(msg));
   ++stats_.resyncs_served;
 }
@@ -253,10 +299,14 @@ uint64_t ReplicationReceiver::Promote() {
   ++stats_.promotions;
   if (check_ != nullptr) {
     std::vector<std::pair<std::string, uint64_t>> replicated;
-    for (const auto& r : qrpc_->CachedResponses()) {
-      replicated.emplace_back(r.client, r.rpc_id);
+    std::vector<std::pair<std::string, uint64_t>> floors;
+    for (const CompletionRecord& record : qrpc_->AllRecords()) {
+      floors.emplace_back(record.client, record.ack_floor);
+      for (const auto& [rpc_id, response] : record.responses) {
+        replicated.emplace_back(record.client, rpc_id);
+      }
     }
-    check_->OnFailover(options_.peer, transport_->local_host(), epoch, replicated);
+    check_->OnFailover(options_.peer, transport_->local_host(), epoch, replicated, floors);
   }
   ROVER_LOG(Info) << transport_->local_host() << " promoted to primary (epoch "
                   << epoch << ", replaces " << options_.peer << ")";
@@ -294,36 +344,13 @@ void ReplicationReceiver::HandleControl(const Message& msg) {
     }
     HandleTransaction(*seq, *epoch, *std::move(txn));
   } else if (*tag == kTagSnapshot) {
-    auto baseline = reader.ReadVarint();
-    auto epoch = reader.ReadVarint();
-    auto image = reader.ReadBytes();
-    auto count = reader.ReadVarint();
-    if (!baseline.ok() || !epoch.ok() || !image.ok() || !count.ok()) {
+    auto image = ReplicationSender::ResyncImage::Decode(msg.payload);
+    if (!image.ok()) {
+      ROVER_LOG(Warning) << "dropping undecodable resync image: "
+                         << image.status().message();
       return;
     }
-    std::vector<CachedResponseEntry> responses;
-    responses.reserve(*count);
-    for (uint64_t i = 0; i < *count; ++i) {
-      CachedResponseEntry entry;
-      auto client = reader.ReadString();
-      auto rpc_id = reader.ReadVarint();
-      auto response_len = reader.ReadVarint();
-      if (!client.ok() || !rpc_id.ok() || !response_len.ok() ||
-          *response_len > reader.remaining()) {
-        return;
-      }
-      auto response_ptr = reader.ReadRaw(*response_len);
-      if (!response_ptr.ok()) {
-        return;
-      }
-      entry.client = *std::move(client);
-      entry.rpc_id = *rpc_id;
-      entry.response = msg.payload.Slice(
-          static_cast<size_t>(*response_ptr - msg.payload.data()),
-          static_cast<size_t>(*response_len));
-      responses.push_back(std::move(entry));
-    }
-    HandleSnapshot(*baseline, *epoch, *std::move(image), std::move(responses));
+    HandleSnapshot(*std::move(image));
   }
 }
 
@@ -371,14 +398,13 @@ void ReplicationReceiver::DrainBuffered() {
   }
 }
 
-void ReplicationReceiver::HandleSnapshot(uint64_t baseline_seq, uint64_t epoch,
-                                         Bytes object_image,
-                                         std::vector<CachedResponseEntry> responses) {
+void ReplicationReceiver::HandleSnapshot(ReplicationSender::ResyncImage image) {
   resync_pending_ = false;
   if (promoted_) {
     return;
   }
-  primary_epoch_seen_ = std::max(primary_epoch_seen_, epoch);
+  primary_epoch_seen_ = std::max(primary_epoch_seen_, image.epoch);
+  const uint64_t baseline_seq = image.baseline_seq;
   if (baseline_seq < last_applied_) {
     return;  // stale snapshot from before what we already applied
   }
@@ -386,7 +412,7 @@ void ReplicationReceiver::HandleSnapshot(uint64_t baseline_seq, uint64_t epoch,
   ++stats_.snapshots_applied;
   stats_.last_applied = static_cast<int64_t>(last_applied_);
   server_->AdoptReplicatedSnapshot(
-      std::move(object_image), std::move(responses),
+      std::move(image.object_image), image.records,
       [this, baseline_seq, weak = std::weak_ptr<char>(alive_)] {
         if (weak.expired()) {
           return;

@@ -2,32 +2,35 @@
 // internal replication channel).
 //
 // The primary ships every WAL transaction -- object mutations plus the
-// duplicate-cache response entry, in commit order -- to a backup
-// RoverServerNode as tagged kControl messages, and the backup acknowledges a
-// cumulative *replication watermark* (the highest primary WAL sequence it has
-// applied AND made durable in its own WAL). Response release on the primary
-// is semi-synchronous: an RPC response leaves only once its transaction is
-// durable locally and covered by the acked watermark, which is what makes
-// "no acknowledged work is lost" hold across a failover. If the backup stops
-// acking for longer than `sync_timeout` the sender degrades to asynchronous
-// shipping (releases stop waiting) rather than wedging the primary; the
-// degrade is counted, reported to the invariant checker, and healed when the
-// backup catches back up to the last shipped sequence.
+// duplicate-cache response entry and the client's ack floor, in commit
+// order -- to a backup RoverServerNode as tagged kControl messages, and the
+// backup acknowledges a cumulative *replication watermark* (the highest
+// primary WAL sequence it has applied AND made durable in its own WAL).
+// Response release on the primary is semi-synchronous: an RPC response
+// leaves only once its transaction is durable locally and covered by the
+// acked watermark, which is what makes "no acknowledged work is lost" hold
+// across a failover. If the backup stops acking for longer than
+// `sync_timeout` the sender degrades to asynchronous shipping (releases stop
+// waiting) rather than wedging the primary; the degrade is counted, reported
+// to the invariant checker, and healed when the backup catches back up to
+// the last shipped sequence.
 //
 // The receiver applies transactions strictly in sequence order. A gap
 // (primary restarted and lost queued ship traffic, backup restarted and lost
 // its volatile cursor, or the backup attached after the primary already had
 // state) is healed by a full resync: the backup requests a snapshot and the
-// primary ships its complete image (object store + duplicate cache) with a
-// baseline sequence. Deltas never ship: the backup's version journal starts
-// empty, so delta imports degrade to full fetches there by design.
+// primary ships its complete image (object store + every client's
+// completion record) with a baseline sequence. Deltas never ship: the
+// backup's version journal starts empty, so delta imports degrade to full
+// fetches there by design.
 //
 // Promotion fences the dead primary: the backup adopts
 // max(own durable epoch, highest primary epoch seen) + 1, so every response
 // it sends carries an epoch strictly above anything the primary ever used,
 // and clients treat the change exactly like a server restart (re-subscribe,
 // re-validate cached imports). Stale duplicates arriving at the promoted
-// backup hit the shipped dup-cache and are replayed, not re-executed.
+// backup hit the shipped completion records: replayed when the entry is
+// there, dropped when the client's floor has passed it, never re-executed.
 
 #ifndef ROVER_SRC_STORE_REPLICATION_H_
 #define ROVER_SRC_STORE_REPLICATION_H_
@@ -78,11 +81,18 @@ struct ReplicationSenderStats {
 // hosts) for acks and resync requests.
 class ReplicationSender {
  public:
+  // The full primary image a resyncing backup adopts: the object store and
+  // every client's completion record.
   struct ResyncImage {
     Bytes object_image;
-    std::vector<CachedResponseEntry> responses;
+    std::vector<CompletionRecord> records;
     uint64_t baseline_seq = 0;
     uint64_t epoch = 1;
+
+    // The RSNP control payload. Decode fails with a Status on a truncated
+    // or hostile payload; response Buffers are slices of `payload`.
+    Bytes Encode() const;
+    static Result<ResyncImage> Decode(const Buffer& payload);
   };
 
   ReplicationSender(EventLoop* loop, TransportManager* transport,
@@ -186,8 +196,7 @@ class ReplicationReceiver {
  private:
   void HandleControl(const Message& msg);
   void HandleTransaction(uint64_t seq, uint64_t epoch, ServerTransaction txn);
-  void HandleSnapshot(uint64_t baseline_seq, uint64_t epoch, Bytes object_image,
-                      std::vector<CachedResponseEntry> responses);
+  void HandleSnapshot(ReplicationSender::ResyncImage image);
   void DrainBuffered();
   void RequestResync();
   void SendAck();

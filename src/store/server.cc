@@ -105,7 +105,7 @@ void RoverServer::WireDurability() {
         RecordOp(std::move(op));
       });
   qrpc_->SetResponseJournal([this](const std::string& client, uint64_t rpc_id,
-                                   const Buffer& encoded_response,
+                                   uint64_t ack_floor, const Buffer& encoded_response,
                                    std::function<void()> release) {
     ServerTransaction txn;
     auto pending = pending_ops_.find({client, rpc_id});
@@ -116,6 +116,7 @@ void RoverServer::WireDurability() {
     txn.has_response = true;
     txn.client = client;
     txn.rpc_id = rpc_id;
+    txn.ack_floor = ack_floor;
     txn.response = encoded_response;
     const uint64_t seq = stable_store_->LogTransaction(txn);
     if (replication_ != nullptr) {
@@ -142,8 +143,9 @@ void RoverServer::WireDurability() {
         // Journal device full. The transaction still sits in the WAL's
         // volatile tail; hold the response, refuse new work, and compact to
         // reclaim space. The snapshot captures the already-applied store
-        // mutations AND the (undurable) duplicate-cache entry, so the
-        // reclaim makes this transaction durable and the release can fire.
+        // mutations AND the client's changed completion record with the
+        // (undurable) response, so the reclaim makes this transaction
+        // durable and the release can fire.
         ++stats_.wal_space_exhausted;
         if (replication_ != nullptr) {
           RecoverWalSpace([this, seq, release = std::move(release)]() mutable {
@@ -212,17 +214,13 @@ void RoverServer::TryReclaimWalSpace() {
     return;
   }
   ++stats_.wal_compactions_forced;
-  std::vector<CachedResponseEntry> responses;
-  for (auto& cached : qrpc_->CachedResponses()) {
-    responses.push_back({cached.client, cached.rpc_id, std::move(cached.response)});
-  }
-  stable_store_->WriteSnapshot(store_.Serialize(), std::move(responses), [this, weak] {
+  WriteSnapshot([this, weak] {
     if (weak.expired()) {
       return;
     }
     // Snapshot written and the WAL truncated through its back record --
     // including the volatile tail the ENOSPC'd transactions occupy, which
-    // the snapshot's duplicate-cache image now covers. Re-flush whatever
+    // the snapshot's completion records now cover. Re-flush whatever
     // remains; with the tail reclaimed this normally has nothing to write.
     stable_store_->Flush([this, weak](const Status& reflushed) {
       if (weak.expired()) {
@@ -284,13 +282,11 @@ size_t RoverServer::ScrubStableStore() {
   // transactions' effects are re-covered by stable state. Skipped when a
   // handler is mid-transaction (same rule as MaybeCompact) -- the next
   // regular compaction closes the hole instead.
+  // Every client a quarantined transaction touched changed after the last
+  // snapshot began, so it is among the records this snapshot writes.
   if (pending_ops_.empty() && !stable_store_->CompactionInProgress()) {
     ++stats_.wal_compactions_forced;
-    std::vector<CachedResponseEntry> responses;
-    for (auto& cached : qrpc_->CachedResponses()) {
-      responses.push_back({cached.client, cached.rpc_id, std::move(cached.response)});
-    }
-    stable_store_->WriteSnapshot(store_.Serialize(), std::move(responses));
+    WriteSnapshot(nullptr);
   }
   return report.quarantined.size();
 }
@@ -329,7 +325,7 @@ void RoverServer::ApplyReplicatedTransaction(const ServerTransaction& txn,
   }
   replaying_ = false;
   if (txn.has_response) {
-    qrpc_->RestoreCachedResponse(txn.client, txn.rpc_id, txn.response);
+    qrpc_->RestoreCompletion(txn.client, txn.ack_floor, txn.rpc_id, txn.response);
   }
   if (stable_store_ == nullptr) {
     if (done) {
@@ -349,7 +345,7 @@ void RoverServer::ApplyReplicatedTransaction(const ServerTransaction& txn,
 }
 
 void RoverServer::AdoptReplicatedSnapshot(Bytes object_image,
-                                          std::vector<CachedResponseEntry> responses,
+                                          const std::vector<CompletionRecord>& records,
                                           std::function<void()> done) {
   replaying_ = true;
   if (!object_image.empty()) {
@@ -359,8 +355,8 @@ void RoverServer::AdoptReplicatedSnapshot(Bytes object_image,
     }
   }
   replaying_ = false;
-  for (const CachedResponseEntry& entry : responses) {
-    qrpc_->RestoreCachedResponse(entry.client, entry.rpc_id, entry.response);
+  for (const CompletionRecord& record : records) {
+    qrpc_->RestoreRecord(record);
   }
   instances_.clear();
   if (stable_store_ == nullptr) {
@@ -369,7 +365,9 @@ void RoverServer::AdoptReplicatedSnapshot(Bytes object_image,
     }
     return;
   }
-  stable_store_->WriteSnapshot(store_.Serialize(), std::move(responses), std::move(done));
+  // Every adopted record is marked changed, so this snapshot writes the
+  // primary's whole image (plus anything else changed since the last one).
+  WriteSnapshot(std::move(done));
 }
 
 void RoverServer::MaybeCompact() {
@@ -387,25 +385,25 @@ void RoverServer::MaybeCompact() {
   if (!pending_ops_.empty()) {
     return;
   }
-  std::vector<CachedResponseEntry> responses;
-  for (auto& cached : qrpc_->CachedResponses()) {
-    responses.push_back({cached.client, cached.rpc_id, std::move(cached.response)});
-  }
-  stable_store_->WriteSnapshot(store_.Serialize(), std::move(responses));
+  WriteSnapshot(nullptr);
+}
+
+void RoverServer::WriteSnapshot(std::function<void()> done) {
+  // Only the clients whose completion record changed since the previous
+  // snapshot: the store merges them into its per-client image.
+  stable_store_->WriteSnapshot(store_.Serialize(), qrpc_->TakeChangedRecords(), std::move(done));
 }
 
 void RoverServer::RestoreFromRecovery(const RecoveredServerState& recovered) {
   replaying_ = true;
-  std::vector<std::pair<std::string, uint64_t>> survived;
   if (!recovered.object_image.empty()) {
     Status loaded = store_.Load(recovered.object_image);
     if (!loaded.ok()) {
       ROVER_LOG(Warning) << "server snapshot load failed: " << loaded.message();
     }
   }
-  for (const CachedResponseEntry& entry : recovered.snapshot_responses) {
-    qrpc_->RestoreCachedResponse(entry.client, entry.rpc_id, entry.response);
-    survived.emplace_back(entry.client, entry.rpc_id);
+  for (const CompletionRecord& record : recovered.snapshot_records) {
+    qrpc_->RestoreRecord(record);
   }
   for (const ServerTransaction& txn : recovered.wal) {
     for (const ReplayOp& op : txn.ops) {
@@ -416,8 +414,7 @@ void RoverServer::RestoreFromRecovery(const RecoveredServerState& recovered) {
       }
     }
     if (txn.has_response) {
-      qrpc_->RestoreCachedResponse(txn.client, txn.rpc_id, txn.response);
-      survived.emplace_back(txn.client, txn.rpc_id);
+      qrpc_->RestoreCompletion(txn.client, txn.ack_floor, txn.rpc_id, txn.response);
     }
   }
   replaying_ = false;
@@ -429,6 +426,14 @@ void RoverServer::RestoreFromRecovery(const RecoveredServerState& recovered) {
   pending_ops_.clear();
   invalidation_failures_.clear();
   if (check_ != nullptr) {
+    // The survivors after every floor in the snapshot and WAL has applied:
+    // an entry freed by a later floor belongs to an id the client resolved.
+    std::vector<std::pair<std::string, uint64_t>> survived;
+    for (const CompletionRecord& record : qrpc_->AllRecords()) {
+      for (const auto& [rpc_id, response] : record.responses) {
+        survived.emplace_back(record.client, rpc_id);
+      }
+    }
     check_->OnServerRecovered(transport_->local_host(), recovered.epoch, survived);
   }
 }

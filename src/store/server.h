@@ -137,11 +137,11 @@ class RoverServer {
   void ApplyReplicatedTransaction(const ServerTransaction& txn,
                                   std::function<void(const Status&)> done);
 
-  // Backup role: replaces the whole server image with a resync snapshot
-  // from the primary (object store + duplicate cache) and persists it as a
-  // local snapshot. `done` runs once the snapshot is durable locally.
-  void AdoptReplicatedSnapshot(Bytes object_image,
-                               std::vector<CachedResponseEntry> responses,
+  // Backup role: replaces the object store with a resync snapshot from the
+  // primary, merges the primary's per-client completion records into the
+  // local ones, and persists the result as a local snapshot. `done` runs
+  // once the snapshot is durable locally.
+  void AdoptReplicatedSnapshot(Bytes object_image, const std::vector<CompletionRecord>& records,
                                std::function<void()> done);
 
   size_t SubscriberCount(const std::string& name) const {
@@ -154,6 +154,8 @@ class RoverServer {
   void WireDurability();
   void RecordOp(ReplayOp op);
   void MaybeCompact();
+  // Snapshots the object store and the changed completion records.
+  void WriteSnapshot(std::function<void()> done);
   // Journal ENOSPC path: queue the blocked response release, put the QRPC
   // server into storage-degraded refusal, and drive compaction until the
   // re-flush succeeds (or the retry budget runs out).

@@ -13,7 +13,18 @@ const obs::Schema<ServerStoreStats> kMetrics(
                      {"snapshots_written", &ServerStoreStats::snapshots_written},
                      {"recoveries", &ServerStoreStats::recoveries},
                      {"wal_records_dropped", &ServerStoreStats::wal_records_dropped},
-                     {"wal_interior_quarantined", &ServerStoreStats::wal_interior_quarantined}});
+                     {"wal_interior_quarantined", &ServerStoreStats::wal_interior_quarantined},
+                     {"snapshot_client_records", &ServerStoreStats::snapshot_client_records}});
+
+// Simulated on-device size of one client's completion record: its name,
+// floor and count, then (rpc id, length, bytes) per response.
+size_t StoredSize(const CompletionRecord& record) {
+  size_t bytes = record.client.size() + 16;
+  for (const auto& [rpc_id, response] : record.responses) {
+    bytes += response.size() + 12;
+  }
+  return bytes;
+}
 
 }  // namespace
 
@@ -33,6 +44,7 @@ Bytes ServerTransaction::Encode() const {
   if (has_response) {
     writer.WriteString(client);
     writer.WriteVarint(rpc_id);
+    writer.WriteVarint(ack_floor);
     writer.WriteVarint(response.size());
     // The charged copy on the durable path: response bytes land in the record.
     ChargePayloadCopy(response.size());
@@ -49,6 +61,9 @@ Result<ServerTransaction> ServerTransaction::Decode(const Buffer& data) {
   }
   ServerTransaction txn;
   ROVER_ASSIGN_OR_RETURN(uint64_t op_count, reader.ReadVarint());
+  if (op_count > reader.remaining()) {
+    return DataLossError("server transaction op count implausible");
+  }
   for (uint64_t i = 0; i < op_count; ++i) {
     ReplayOp op;
     ROVER_ASSIGN_OR_RETURN(op.is_remove, reader.ReadBool());
@@ -64,6 +79,7 @@ Result<ServerTransaction> ServerTransaction::Decode(const Buffer& data) {
   if (txn.has_response) {
     ROVER_ASSIGN_OR_RETURN(txn.client, reader.ReadString());
     ROVER_ASSIGN_OR_RETURN(txn.rpc_id, reader.ReadVarint());
+    ROVER_ASSIGN_OR_RETURN(txn.ack_floor, reader.ReadVarint());
     ROVER_ASSIGN_OR_RETURN(uint64_t response_len, reader.ReadVarint());
     if (response_len > reader.remaining()) {
       return DataLossError("truncated response in server transaction");
@@ -96,40 +112,46 @@ void ServerStableStore::Flush(StableLog::FlushCallback done) {
 }
 
 void ServerStableStore::WriteSnapshot(Bytes object_image,
-                                      std::vector<CachedResponseEntry> responses,
+                                      std::vector<CompletionRecord> changed_records,
                                       std::function<void()> done) {
   compaction_in_progress_ = true;
   // The snapshot covers the WAL as of now; records appended while the
   // snapshot write runs survive the truncation.
   const uint64_t covered_up_to = wal_.BackRecordId();
   size_t bytes = object_image.size();
-  for (const CachedResponseEntry& entry : responses) {
-    bytes += entry.client.size() + entry.response.size() + 16;
+  for (const CompletionRecord& record : changed_records) {
+    bytes += StoredSize(record);
   }
-  const Duration cost = options_.wal_costs.FlushCost(bytes);
+  snapshot_busy_until_ =
+      std::max(snapshot_busy_until_, loop_->now()) + options_.wal_costs.FlushCost(bytes);
   const uint64_t generation = crash_generation_;
-  auto pending = std::make_shared<Snapshot>();
-  pending->valid = true;
-  pending->object_image = std::move(object_image);
-  pending->responses = std::move(responses);
-  loop_->ScheduleAfter(
-      cost, [this, pending, covered_up_to, generation, done = std::move(done)] {
-        if (generation != crash_generation_) {
-          return;  // crashed mid-write; old snapshot + WAL remain authoritative
-        }
-        snapshot_ = std::move(*pending);
-        wal_.Truncate(covered_up_to);
-        compaction_in_progress_ = false;
-        ++stats_.snapshots_written;
-        if (done) {
-          done();
-        }
-      });
+  auto image = std::make_shared<Bytes>(std::move(object_image));
+  auto records = std::make_shared<std::vector<CompletionRecord>>(std::move(changed_records));
+  loop_->ScheduleAt(snapshot_busy_until_, [this, image, records, covered_up_to, generation,
+                                           done = std::move(done)] {
+    if (generation != crash_generation_) {
+      return;  // crashed mid-write; old snapshot + WAL remain authoritative
+    }
+    snapshot_.valid = true;
+    snapshot_.object_image = std::move(*image);
+    for (CompletionRecord& record : *records) {
+      std::string client = record.client;
+      snapshot_.clients.insert_or_assign(std::move(client), std::move(record));
+    }
+    stats_.snapshot_client_records += records->size();
+    wal_.Truncate(covered_up_to);
+    compaction_in_progress_ = false;
+    ++stats_.snapshots_written;
+    if (done) {
+      done();
+    }
+  });
 }
 
 void ServerStableStore::SimulateCrash(bool tear_last_record) {
   ++crash_generation_;
   compaction_in_progress_ = false;
+  snapshot_busy_until_ = TimePoint::Epoch();  // the abandoned write is gone
   // A tear models a power cut mid-write; a record whose device write
   // already completed (its response may have left) cannot be torn.
   wal_.SimulateCrash(tear_last_record && wal_.WriteInFlight());
@@ -151,7 +173,10 @@ RecoveredServerState ServerStableStore::Recover() {
   out.epoch = epoch_;
   if (snapshot_.valid) {
     out.object_image = snapshot_.object_image;
-    out.snapshot_responses = snapshot_.responses;
+    out.snapshot_records.reserve(snapshot_.clients.size());
+    for (const auto& [client, record] : snapshot_.clients) {
+      out.snapshot_records.push_back(record);
+    }
   }
   std::vector<StableLog::Record> records = wal_.DurableRecords();
   for (const StableLog::Record& rec : records) {

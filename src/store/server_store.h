@@ -9,7 +9,8 @@
 //
 // The WAL reuses StableLog (CRC32 framing, SimulateCrash/Recover contract,
 // simulated device costs); compaction writes an atomic snapshot of the
-// object image and duplicate cache, then truncates the log.
+// object image and of the per-client completion records that changed since
+// the previous snapshot, then truncates the log.
 
 #ifndef ROVER_SRC_STORE_SERVER_STORE_H_
 #define ROVER_SRC_STORE_SERVER_STORE_H_
@@ -17,11 +18,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/qrpc/qrpc.h"
 #include "src/qrpc/stable_log.h"
 #include "src/rdo/rdo.h"
 #include "src/sim/event_loop.h"
@@ -54,6 +57,9 @@ struct ServerStoreStats {
   // Interior-corrupt WAL records (bit rot on an acknowledged transaction)
   // quarantined by recovery or a scrub -- detected data loss, not a torn tail.
   uint64_t wal_interior_quarantined = 0;
+  // Client completion records written by completed snapshots: a snapshot
+  // writes only the clients whose record changed since the previous one.
+  uint64_t snapshot_client_records = 0;
 };
 
 // One replayable store mutation inside a transaction.
@@ -63,13 +69,6 @@ struct ReplayOp {
   std::string name;         // valid when is_remove
 };
 
-struct CachedResponseEntry {
-  std::string client;
-  uint64_t rpc_id = 0;
-  // Shares storage with the dup-cache entry / WAL record it came from.
-  Buffer response;
-};
-
 // The unit of server durability: everything one RPC changed, journaled
 // atomically. Standalone (non-RPC) mutations use has_response = false.
 struct ServerTransaction {
@@ -77,6 +76,10 @@ struct ServerTransaction {
   bool has_response = false;
   std::string client;
   uint64_t rpc_id = 0;
+  // The client's ack floor when the response was cached: replay (recovery
+  // or a backup applying the shipped transaction) frees the client's
+  // entries below it, exactly as the live server did.
+  uint64_t ack_floor = 0;
   Buffer response;
 
   Bytes Encode() const;
@@ -88,7 +91,7 @@ struct ServerTransaction {
 struct RecoveredServerState {
   uint64_t epoch = 1;
   Bytes object_image;  // ObjectStore::Serialize blob; empty = no snapshot
-  std::vector<CachedResponseEntry> snapshot_responses;
+  std::vector<CompletionRecord> snapshot_records;  // one per client
   std::vector<ServerTransaction> wal;  // oldest first
   size_t records_dropped = 0;
   // Interior-corrupt records quarantined by this recovery: acknowledged
@@ -114,11 +117,15 @@ class ServerStableStore {
     return !compaction_in_progress_ && wal_.RecordCount() >= options_.compact_after_records;
   }
 
-  // Writes a snapshot of the full server image (object store + duplicate
-  // cache) and truncates the WAL records it covers. The swap is atomic at
-  // write completion: a crash mid-snapshot keeps the previous snapshot and
-  // the untruncated WAL.
-  void WriteSnapshot(Bytes object_image, std::vector<CachedResponseEntry> responses,
+  // Writes a snapshot -- the full object image plus the completion records
+  // of the clients in `changed_records` -- and truncates the WAL records it
+  // covers. The caller passes every client whose record changed since the
+  // previous snapshot; the write costs only those bytes, and on completion
+  // they replace their clients' entries in the stored per-client image.
+  // The swap is atomic at write completion: a crash mid-snapshot keeps the
+  // previous snapshot and the untruncated WAL. Snapshot writes complete in
+  // the order they were started.
+  void WriteSnapshot(Bytes object_image, std::vector<CompletionRecord> changed_records,
                      std::function<void()> done = nullptr);
 
   // Crash: volatile WAL tail vanishes; with `tear_last_record`, the record
@@ -162,7 +169,7 @@ class ServerStableStore {
   struct Snapshot {
     bool valid = false;
     Bytes object_image;
-    std::vector<CachedResponseEntry> responses;
+    std::map<std::string, CompletionRecord> clients;
   };
 
   EventLoop* loop_;
@@ -174,6 +181,9 @@ class ServerStableStore {
   uint64_t epoch_ = 1;
   uint64_t last_logged_id_ = 0;
   bool compaction_in_progress_ = false;
+  // When the snapshot area finishes the write it is busy with: a later
+  // write completes after it, so merges apply in start order.
+  TimePoint snapshot_busy_until_ = TimePoint::Epoch();
   // Bumped by SimulateCrash so snapshot-completion events scheduled before
   // the crash abandon their swap.
   uint64_t crash_generation_ = 0;

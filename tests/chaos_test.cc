@@ -61,6 +61,7 @@ TEST(ServerStoreTest, TransactionRoundTrip) {
   txn.has_response = true;
   txn.client = "mobile";
   txn.rpc_id = 42;
+  txn.ack_floor = 40;
   txn.response = BytesFromString("cached-response");
 
   auto decoded = ServerTransaction::Decode(txn.Encode());
@@ -75,6 +76,7 @@ TEST(ServerStoreTest, TransactionRoundTrip) {
   ASSERT_TRUE(decoded->has_response);
   EXPECT_EQ(decoded->client, "mobile");
   EXPECT_EQ(decoded->rpc_id, 42u);
+  EXPECT_EQ(decoded->ack_floor, 40u);
   EXPECT_EQ(decoded->response, BytesFromString("cached-response"));
 
   EXPECT_FALSE(ServerTransaction::Decode(BytesFromString("garbage")).ok());
@@ -143,11 +145,11 @@ TEST(ServerStoreTest, SnapshotCompactionTruncatesWalAndSurvivesRecovery) {
   loop.Run();
 
   const Bytes image = BytesFromString("object-image");
-  CachedResponseEntry entry;
-  entry.client = "mobile";
-  entry.rpc_id = 7;
-  entry.response = BytesFromString("r");
-  store.WriteSnapshot(image, {entry});
+  CompletionRecord record;
+  record.client = "mobile";
+  record.ack_floor = 5;
+  record.responses.emplace_back(7, Buffer(BytesFromString("r")));
+  store.WriteSnapshot(image, {record});
   loop.Run();
   EXPECT_EQ(store.WalRecordCount(), 0u);
   EXPECT_EQ(store.stats().snapshots_written, 1u);
@@ -159,8 +161,11 @@ TEST(ServerStoreTest, SnapshotCompactionTruncatesWalAndSurvivesRecovery) {
   store.SimulateCrash(false);
   RecoveredServerState rec = store.Recover();
   EXPECT_EQ(rec.object_image, image);
-  ASSERT_EQ(rec.snapshot_responses.size(), 1u);
-  EXPECT_EQ(rec.snapshot_responses[0].rpc_id, 7u);
+  ASSERT_EQ(rec.snapshot_records.size(), 1u);
+  EXPECT_EQ(rec.snapshot_records[0].client, "mobile");
+  EXPECT_EQ(rec.snapshot_records[0].ack_floor, 5u);
+  ASSERT_EQ(rec.snapshot_records[0].responses.size(), 1u);
+  EXPECT_EQ(rec.snapshot_records[0].responses[0].first, 7u);
   ASSERT_EQ(rec.wal.size(), 1u);
   EXPECT_EQ(rec.wal[0].ops[0].committed.name, "post-snapshot");
 }

@@ -570,7 +570,7 @@ TEST(UnifiedRegistryTest, MetricNamesArePinned) {
   AddNames(&want_server, "qrpc_server",
            {"auth_failures", "duplicate_cache_decode_failures", "duplicates",
             "inflight_requests", "requests", "requests_rejected", "requests_rejected_storage",
-            "unknown_methods"});
+            "stale_requests_dropped", "unknown_methods"});
   // New: the server-side structs.
   AddNames(&want_server, "rover_server",
            {"delta_bytes_saved", "deltas_sent", "exports", "imports", "imports_not_modified",
@@ -578,8 +578,8 @@ TEST(UnifiedRegistryTest, MetricNamesArePinned) {
             "unsubscribes", "wal_compactions_forced", "wal_flush_failures",
             "wal_space_exhausted", "wal_space_recoveries"});
   AddNames(&want_server, "server_store",
-           {"recoveries", "snapshots_written", "transactions_logged",
-            "wal_interior_quarantined", "wal_records_dropped"});
+           {"recoveries", "snapshot_client_records", "snapshots_written",
+            "transactions_logged", "wal_interior_quarantined", "wal_records_dropped"});
   std::sort(want_server.begin(), want_server.end());
   EXPECT_EQ(RenderedNames(bed.server()->metrics()), want_server);
 }

@@ -12,7 +12,9 @@
 #include "src/core/toolkit.h"
 #include "src/qrpc/marshal.h"
 #include "src/rdo/rdo.h"
+#include "src/store/replication.h"
 #include "src/store/server.h"
+#include "src/store/server_store.h"
 #include "src/tclite/parser.h"
 #include "src/tclite/value.h"
 #include "src/transport/message.h"
@@ -48,6 +50,8 @@ TEST_P(FuzzTest, RandomBytesNeverCrashDecoders) {
     (void)LzDecompress(data);
     (void)TransportManager::DecodeEnvelope(data);
     (void)DecodeInvalidation(data);
+    (void)ServerTransaction::Decode(data);
+    (void)ReplicationSender::ResyncImage::Decode(data);
     WireReader reader(data);
     (void)reader.ReadVarint();
     (void)reader.ReadString();
@@ -94,6 +98,140 @@ TEST_P(FuzzTest, TruncatedRdoDescriptorsRejected) {
     EXPECT_FALSE(RdoDescriptor::Decode(prefix).ok()) << "prefix length " << len;
   }
   EXPECT_TRUE(RdoDescriptor::Decode(valid).ok());
+}
+
+// Every strict prefix of `valid` must fail to decode with a Status (and the
+// whole encoding must decode).
+template <typename DecodeFn>
+void ExpectEveryPrefixRejected(const Bytes& valid, DecodeFn decode) {
+  for (size_t len = 0; len < valid.size(); ++len) {
+    Buffer prefix(Bytes(valid.begin(), valid.begin() + static_cast<ptrdiff_t>(len)));
+    EXPECT_FALSE(decode(prefix).ok()) << "prefix length " << len;
+  }
+  EXPECT_TRUE(decode(Buffer(valid)).ok());
+}
+
+ServerTransaction SampleTransaction() {
+  ServerTransaction txn;
+  ReplayOp op;
+  op.is_remove = true;
+  op.name = "mail/outbox";
+  txn.ops.push_back(op);
+  txn.has_response = true;
+  txn.client = "mobile";
+  txn.rpc_id = 300;
+  txn.ack_floor = 298;  // two-byte varints
+  txn.response = BytesFromString("cached-response");
+  return txn;
+}
+
+ReplicationSender::ResyncImage SampleResyncImage() {
+  ReplicationSender::ResyncImage image;
+  image.object_image = BytesFromString("objects");
+  image.baseline_seq = 1000;
+  image.epoch = 3;
+  for (const char* client : {"alpha", "beta"}) {
+    CompletionRecord record;
+    record.client = client;
+    record.ack_floor = 200;
+    record.responses.emplace_back(200, Buffer(BytesFromString("r200")));
+    record.responses.emplace_back(201, Buffer(BytesFromString("r201")));
+    image.records.push_back(std::move(record));
+  }
+  return image;
+}
+
+TEST(DecoderTruncationTest, RequestBodyRejectedWhenTruncatedAtEveryByte) {
+  RpcRequestBody body;
+  body.method = "rover.export";
+  body.args = {std::string("mail/inbox"), int64_t{7}};
+  body.ack_floor = 1234;
+  ExpectEveryPrefixRejected(body.Encode(), [](const Buffer& b) {
+    return RpcRequestBody::Decode(b);
+  });
+  auto decoded = RpcRequestBody::Decode(body.Encode());
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->ack_floor, 1234u);
+}
+
+TEST(DecoderTruncationTest, TransactionRejectedWhenTruncatedAtEveryByte) {
+  ExpectEveryPrefixRejected(SampleTransaction().Encode(), [](const Buffer& b) {
+    return ServerTransaction::Decode(b);
+  });
+}
+
+TEST(DecoderTruncationTest, ResyncImageRejectedWhenTruncatedAtEveryByte) {
+  const ReplicationSender::ResyncImage image = SampleResyncImage();
+  ExpectEveryPrefixRejected(image.Encode(), [](const Buffer& b) {
+    return ReplicationSender::ResyncImage::Decode(b);
+  });
+  auto decoded = ReplicationSender::ResyncImage::Decode(Buffer(image.Encode()));
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->baseline_seq, 1000u);
+  ASSERT_EQ(decoded->records.size(), 2u);
+  EXPECT_EQ(decoded->records[1].client, "beta");
+  EXPECT_EQ(decoded->records[1].ack_floor, 200u);
+  ASSERT_EQ(decoded->records[1].responses.size(), 2u);
+  EXPECT_EQ(decoded->records[1].responses[1].first, 201u);
+  EXPECT_EQ(decoded->records[1].responses[1].second.ToString(), "r201");
+}
+
+// A count or length far beyond the bytes that follow must fail before the
+// decoder reserves anything for it.
+TEST(DecoderTruncationTest, OversizedCountsRejectedWithoutAllocation) {
+  constexpr uint64_t kHuge = uint64_t{1} << 60;
+  {
+    WireWriter w;
+    w.WriteString("TXN");
+    w.WriteVarint(kHuge);  // op count
+    EXPECT_FALSE(ServerTransaction::Decode(Buffer(w.TakeData())).ok());
+  }
+  {
+    WireWriter w;
+    w.WriteString("TXN");
+    w.WriteVarint(0);
+    w.WriteBool(true);
+    w.WriteString("mobile");
+    w.WriteVarint(5);
+    w.WriteVarint(kHuge);  // ack floor: any value decodes
+    w.WriteVarint(kHuge);  // response length
+    EXPECT_FALSE(ServerTransaction::Decode(Buffer(w.TakeData())).ok());
+  }
+  auto image_prefix = [](uint64_t record_count) {
+    WireWriter w;
+    w.WriteString("RSNP");
+    w.WriteVarint(1);
+    w.WriteVarint(1);
+    w.WriteBytes(Bytes{});
+    w.WriteVarint(record_count);
+    return w;
+  };
+  {
+    WireWriter w = image_prefix(kHuge);
+    EXPECT_FALSE(ReplicationSender::ResyncImage::Decode(Buffer(w.TakeData())).ok());
+  }
+  {
+    WireWriter w = image_prefix(1);
+    w.WriteString("mobile");
+    w.WriteVarint(3);
+    w.WriteVarint(kHuge);  // response count
+    EXPECT_FALSE(ReplicationSender::ResyncImage::Decode(Buffer(w.TakeData())).ok());
+  }
+  {
+    WireWriter w = image_prefix(1);
+    w.WriteString("mobile");
+    w.WriteVarint(3);
+    w.WriteVarint(1);
+    w.WriteVarint(3);
+    w.WriteVarint(kHuge);  // response length
+    EXPECT_FALSE(ReplicationSender::ResyncImage::Decode(Buffer(w.TakeData())).ok());
+  }
+  {
+    WireWriter w;
+    w.WriteString("rover.list");
+    w.WriteVarint(kHuge);  // arg count
+    EXPECT_FALSE(RpcRequestBody::Decode(w.TakeData()).ok());
+  }
 }
 
 TEST_P(FuzzTest, RandomScriptsNeverCrashParserOrInterp) {

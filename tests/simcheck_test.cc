@@ -140,6 +140,27 @@ TEST(SimCheckMetaTest, ReintroducedCoalescingBugIsCaughtAndShrunkToOneLine) {
   EXPECT_TRUE(fixed.ok) << fixed.report;
 }
 
+// The failover audit excuses a released response missing from the
+// promoted backup only when the client's ack floor there has passed it:
+// the client holds that response and never asks for it again.
+TEST(SimCheckMetaTest, FailoverAuditExcusesOnlyKeysBelowTheFloor) {
+  for (uint64_t backup_floor : {uint64_t{6}, uint64_t{5}}) {
+    SCOPED_TRACE("backup floor " + std::to_string(backup_floor));
+    check::SimCheck check;
+    check.OnServerResponseDurable("server", "mobile", 5);
+    check.OnServerResponseDurable("server", "mobile", 7);
+    check.OnServerCrashed("server");
+    check.OnFailover("server", "backup", /*epoch=*/3, {{"mobile", 7}},
+                     {{"mobile", backup_floor}});
+    if (backup_floor > 5) {
+      EXPECT_TRUE(check.ok()) << check.Report();
+    } else {
+      ASSERT_FALSE(check.ok());
+      EXPECT_EQ(check.violations()[0].invariant, "failover-acked-loss");
+    }
+  }
+}
+
 // --- Part 3: repro lines ---------------------------------------------------
 
 TEST(SimCheckReproTest, RoundTripsEveryActionKind) {
