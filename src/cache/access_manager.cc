@@ -166,10 +166,6 @@ RoverUrn AccessManager::Resolve(const std::string& name) const {
   return ResolveObjectName(name, options_.server_host);
 }
 
-std::string AccessManager::ServerFor(const std::string& name) const {
-  return Resolve(name).server;
-}
-
 QrpcCallOptions AccessManager::MakeCallOptions(Priority priority, bool log_request) const {
   QrpcCallOptions options;
   options.priority = priority;

@@ -243,10 +243,6 @@ class AccessManager {
   // AccessManagerOptions::degraded_queue_depth).
   bool Degraded() const { return degraded_; }
 
-  // Home server for `name` ("rover://host/path" URNs name their server;
-  // bare paths use the default).
-  std::string ServerFor(const std::string& name) const;
-
  private:
   struct Entry {
     RdoDescriptor committed;                 // last known committed version

@@ -376,14 +376,6 @@ RoverServerNode* Testbed::AddBackup(const std::string& name, LinkProfile repl_li
   return backup;
 }
 
-RoverServerNode* Testbed::FindServer(const std::string& name) {
-  if (name == options_.server_name) {
-    return server_.get();
-  }
-  auto it = extra_servers_.find(name);
-  return it == extra_servers_.end() ? nullptr : it->second.get();
-}
-
 Link* Testbed::AddLink(const std::string& host_a, const std::string& host_b,
                        LinkProfile profile, std::unique_ptr<ConnectivitySchedule> schedule) {
   return network_.Connect(host_a, host_b, std::move(profile), std::move(schedule));

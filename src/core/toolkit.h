@@ -251,7 +251,6 @@ class Testbed {
 
   // Adds another home server (objects name it via rover://<name>/<path>).
   RoverServerNode* AddServer(const std::string& name, ServerNodeOptions options = {});
-  RoverServerNode* FindServer(const std::string& name);
 
   // Connects any two existing hosts directly (e.g. a client to a second
   // home server).

@@ -24,7 +24,7 @@ namespace obs {
 enum class CpuZone : uint8_t {
   kSchedulerDispatch = 0,  // scheduler enqueue/drain/batch outcome
   kConnectivity,           // peer link lookup + wakeup arming
-  kEventLoopPop,           // event-loop pop mechanics (cascade, heap, tombstones)
+  kEventLoopPop,           // event-loop pop: heap removal and slot release
   kMarshal,                // frame encode/decode
   kWalFlush,               // stable log / WAL flush path
   kInvalidationFanout,     // server invalidation encode + enqueue

@@ -1255,14 +1255,8 @@ void QrpcServer::HandleRequest(const Message& msg) {
     return;
   }
 
-  Handler* handler = nullptr;
   auto hit = handlers_.find(request->method);
-  if (hit != handlers_.end()) {
-    handler = &hit->second;
-  } else if (default_handler_) {
-    handler = &default_handler_;
-  }
-  if (handler == nullptr) {
+  if (hit == handlers_.end()) {
     ++stats_.unknown_methods;
     RpcResponseBody body;
     body.code = StatusCode::kUnimplemented;
@@ -1345,7 +1339,7 @@ void QrpcServer::HandleRequest(const Message& msg) {
   auto envelope_ptr = std::make_shared<Message>(msg);
   loop_->ScheduleAfter(
       options_.dispatch_cost,
-      [this, key, handler = *handler, request_ptr, envelope_ptr, respond,
+      [this, key, handler = hit->second, request_ptr, envelope_ptr, respond,
        alive = std::weak_ptr<char>(alive_)] {
         if (alive.expired()) {
           return;  // server torn down before dispatch

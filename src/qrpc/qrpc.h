@@ -437,8 +437,6 @@ class QrpcServer {
   QrpcServer(EventLoop* loop, TransportManager* transport, QrpcServerOptions options = {});
 
   void RegisterHandler(const std::string& method, Handler handler);
-  // Invoked for methods with no registered handler (else kUnimplemented).
-  void SetDefaultHandler(Handler handler) { default_handler_ = std::move(handler); }
 
   // Server incarnation stamped on every response (including duplicate-cache
   // replays). Recovery bumps it; clients use the jump to detect a restart.
@@ -558,7 +556,6 @@ class QrpcServer {
   QrpcServerStats stats_;
   bool storage_degraded_ = false;
   std::map<std::string, Handler> handlers_;
-  Handler default_handler_;
   // client host -> completion record. Records are never erased (one per
   // client, a floor plus the few entries above it), so the element
   // pointers in `changed_` stay valid.

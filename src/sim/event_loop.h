@@ -3,34 +3,28 @@
 // applications) schedules callbacks on it. Events at equal timestamps run
 // in scheduling order, which keeps runs fully deterministic.
 //
-// Storage is hybrid (see docs/architecture.md "Scaling the fan-in path"):
-// near-term events live in a binary min-heap ordered by (time, seq); far
-// timers -- deadlines, TTLs, breaker cooldowns, scrub intervals, the
-// population that is mostly *cancelled* before it fires -- live in a
-// hierarchical timer wheel with O(1) insert and O(1) cancel that reclaims
-// the entry immediately (no tombstone lingering until its timestamp pops).
-// Wheel slots are flushed into the heap before any event they could
-// precede executes, so the observable execution order is bit-for-bit the
-// (time, seq) order of a plain heap. Heap cancellations still tombstone
-// (a binary heap has no O(1) erase), but the loop compacts the heap when
-// tombstones outnumber live entries, bounding both memory and pop cost
-// under arm/cancel churn.
+// Storage is one position-indexed binary min-heap ordered by (time, seq)
+// (see docs/architecture.md "Indexed event heap"). Each pending event owns
+// a slot that holds its callback and its current heap position, so Cancel
+// removes the entry at once -- near timer or far, nothing lingers until its
+// timestamp pops -- and pending_events() is exactly the heap size. An
+// EventId names a slot plus the slot's generation: once the event runs or
+// is cancelled the generation moves on, so a stale id misses even after
+// the slot is reused.
 
 #ifndef ROVER_SRC_SIM_EVENT_LOOP_H_
 #define ROVER_SRC_SIM_EVENT_LOOP_H_
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/util/time.h"
 
 namespace rover {
 
+// Opaque to callers; never equal to kInvalidEventId.
 using EventId = uint64_t;
 constexpr EventId kInvalidEventId = 0;
 
@@ -48,8 +42,8 @@ class EventLoop {
   // Schedules `fn` to run `d` after now().
   EventId ScheduleAfter(Duration d, std::function<void()> fn);
 
-  // Cancels a pending event. Returns false if it already ran or is unknown.
-  // Wheel-resident events (far timers) are reclaimed immediately.
+  // Cancels a pending event and reclaims its entry. Returns false if it
+  // already ran (or is running), was already cancelled, or is unknown.
   bool Cancel(EventId id);
 
   // Runs events until the queue is empty. Returns the number executed.
@@ -64,106 +58,46 @@ class EventLoop {
   // Runs at most one pending event. Returns false if the queue was empty.
   bool Step();
 
-  // Timestamp of the next live (non-cancelled) event, if any. Does not
-  // advance time.
-  std::optional<TimePoint> NextEventTime();
+  // Timestamp of the next pending event, if any. Does not advance time.
+  std::optional<TimePoint> NextEventTime() const;
 
-  // Live (non-cancelled) events across heap, wheel, and overflow.
-  size_t pending_events() const {
-    return heap_ids_.size() + wheel_count_ + overflow_.size();
-  }
+  size_t pending_events() const { return heap_.size(); }
 
   // Guard against runaway simulations: Run() aborts (returns) after this
   // many events. Default is 200M, far above any experiment in this repo.
   void set_event_limit(size_t limit) { event_limit_ = limit; }
 
-  // Test hook: with the wheel off, every event goes straight to the heap
-  // (the pre-wheel implementation). Determinism tests run the same
-  // schedule in both modes and require identical execution order.
-  void set_timer_wheel_enabled(bool on) { wheel_enabled_ = on; }
-
-  // Introspection for tests: events currently parked in wheel slots (plus
-  // the overflow ring), i.e. cancellable in O(1) without a tombstone.
-  size_t wheel_resident_events() const { return wheel_count_ + overflow_.size(); }
-  // Physical heap entries, including not-yet-reclaimed tombstones.
-  size_t heap_physical_size() const { return heap_.size(); }
-
  private:
-  struct Event {
+  struct Entry {
     TimePoint when;
-    uint64_t seq;
-    std::function<void()> fn;
+    uint64_t seq;  // FIFO among ties
+    uint32_t slot;
   };
-  struct EventOrder {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) {
-        return a.when > b.when;  // min-heap on time
-      }
-      return a.seq > b.seq;  // FIFO among ties
-    }
-  };
-
-  // Wheel geometry: 4 levels x 64 slots. Level L buckets timestamps by
-  // 2^(14 + 6L) us, so slot widths are ~16ms / ~1s / ~67s / ~71min and the
-  // levels span ~1s / ~67s / ~71min / ~76h of delta from now(). Events
-  // farther out than the top span (rare: "never"-style sentinels) sit in
-  // an id-keyed overflow map, also O(1) to cancel.
-  static constexpr int kWheelLevels = 4;
-  static constexpr int kSlotBits = 6;
-  static constexpr int kSlots = 1 << kSlotBits;
-  static constexpr int kShift0 = 14;
-  static constexpr int LevelShift(int level) { return kShift0 + kSlotBits * level; }
-  static constexpr int64_t LevelSpanMicros(int level) {
-    return static_cast<int64_t>(kSlots) << LevelShift(level);
-  }
-  // Events closer than this go straight to the heap.
-  static constexpr int64_t kNearHorizonMicros = int64_t{1} << kShift0;
-
   struct Slot {
-    std::vector<Event> events;
-    // Lower bound on the earliest `when` present; exact on insert, left
-    // conservatively stale by cancellation, reset when the slot empties.
-    int64_t min_when = INT64_MAX;
-  };
-  struct Locator {
-    uint8_t level;
-    uint8_t slot;
-    uint32_t pos;
+    std::function<void()> fn;
+    uint32_t heap_pos = 0;
+    uint32_t generation = 1;  // bumped on release; never 0
   };
 
-  void InsertEvent(Event ev);
-  void PushHeap(Event ev);
-  void CompactHeapIfNeeded();
-  // Flushes every wheel slot (and overflow entry) that could hold an event
-  // with when <= bound into the heap, then refreshes wheel_next_.
-  void CascadeDue(int64_t bound);
-  // Ensures the heap front is the globally next live event (cascading and
-  // dropping tombstones as needed). False when nothing is pending.
-  bool PrepareNext();
-  // Pops and runs the prepared heap front.
-  void RunPrepared();
-  bool PopAndRun();
+  static bool Before(const Entry& a, const Entry& b) {
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  }
+  void Place(size_t pos, const Entry& e);
+  void SiftUp(size_t pos);
+  void SiftDown(size_t pos);
+  // Removes heap_[pos], refills the hole, and frees its slot, returning
+  // the callback (destroyed by the caller, after the loop is consistent).
+  std::function<void()> Remove(size_t pos);
+  // Pops and runs the next event if it is due at or before `limit`.
+  bool RunNext(TimePoint limit);
 
   TimePoint now_ = TimePoint::Epoch();
   uint64_t next_seq_ = 1;
   size_t event_limit_ = 200'000'000;
-  bool wheel_enabled_ = true;
 
-  // Near-term storage: binary heap + live-id set + tombstone set.
-  std::vector<Event> heap_;
-  std::unordered_set<uint64_t> heap_ids_;   // live heap events
-  std::unordered_set<uint64_t> cancelled_;  // tombstoned heap events
-
-  // Far-timer storage.
-  std::array<std::array<Slot, kSlots>, kWheelLevels> wheel_;
-  std::unordered_map<uint64_t, Locator> wheel_index_;
-  size_t wheel_count_ = 0;
-  std::unordered_map<uint64_t, Event> overflow_;
-  int64_t overflow_min_ = INT64_MAX;
-  // Lower bound over every slot's min_when and overflow_min_; the pop path
-  // compares the heap front against this single number and touches the
-  // wheel only when it could matter.
-  int64_t wheel_next_ = INT64_MAX;
+  std::vector<Entry> heap_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
 };
 
 }  // namespace rover

@@ -116,9 +116,6 @@ class Link {
   // Sends `frame` from `from_host` to its peer. `done` may be null.
   void SendFrame(const std::string& from_host, Bytes frame, DeliveryCallback done);
 
-  // One-shot: runs `cb` the next time the link is up (immediately if up now).
-  void NotifyWhenUp(std::function<void()> cb);
-
   // Pure serialization time for `payload_bytes` at this profile (packetized,
   // with header overhead; no latency, queueing, or connect cost).
   Duration TransferTime(size_t payload_bytes) const;

@@ -55,18 +55,6 @@ void Host::ClearReceiver(const void* owner) {
   }
 }
 
-void Host::SetLinkChangeListener(std::function<void()> listener, const void* owner) {
-  link_change_listener_ = std::move(listener);
-  listener_owner_ = owner;
-}
-
-void Host::ClearLinkChangeListener(const void* owner) {
-  if (listener_owner_ == owner) {
-    link_change_listener_ = nullptr;
-    listener_owner_ = nullptr;
-  }
-}
-
 void Host::AddPeerObserver(const std::string& peer, std::function<void()> observer,
                            const void* owner) {
   peers_[peer].observers.emplace_back(owner, std::move(observer));
@@ -86,9 +74,6 @@ void Host::NotifyPeerChange(PeerEntry& entry) {
   const auto observers = entry.observers;
   for (const auto& [owner, fn] : observers) {
     fn();
-  }
-  if (link_change_listener_) {
-    link_change_listener_();
   }
 }
 

@@ -13,16 +13,6 @@ double Trace::Counter(const std::string& counter) const {
   return it == counters_.end() ? 0.0 : it->second;
 }
 
-std::vector<Trace::Entry> Trace::EntriesFor(const std::string& category) const {
-  std::vector<Entry> out;
-  for (const Entry& e : entries_) {
-    if (e.category == category) {
-      out.push_back(e);
-    }
-  }
-  return out;
-}
-
 size_t Trace::CountFor(const std::string& category) const {
   size_t n = 0;
   for (const Entry& e : entries_) {

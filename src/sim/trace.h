@@ -32,9 +32,6 @@ class Trace {
 
   const std::vector<Entry>& entries() const { return entries_; }
 
-  // Entries matching a category, in time order.
-  std::vector<Entry> EntriesFor(const std::string& category) const;
-
   size_t CountFor(const std::string& category) const;
 
   void Clear();

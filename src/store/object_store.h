@@ -70,7 +70,6 @@ class ObjectStore {
   // Names with the given prefix, sorted.
   std::vector<std::string> List(const std::string& prefix = "") const;
 
-  size_t ObjectCount() const { return objects_.size(); }
   const ObjectStoreStats& stats() const { return stats_; }
 
   // Persistence: the paper's home servers keep objects on stable storage.

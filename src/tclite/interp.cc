@@ -312,10 +312,6 @@ void Interp::RegisterCommand(const std::string& name, HostCommand command) {
   commands_[name] = std::move(command);
 }
 
-bool Interp::HasCommand(const std::string& name) const {
-  return commands_.count(name) > 0 || procs_.count(name) > 0;
-}
-
 std::vector<std::string> Interp::CommandNames() const {
   std::vector<std::string> names;
   names.reserve(commands_.size() + procs_.size());

@@ -116,7 +116,6 @@ class Interp {
   // --- Commands ---
 
   void RegisterCommand(const std::string& name, HostCommand command);
-  bool HasCommand(const std::string& name) const;
   std::vector<std::string> CommandNames() const;
 
   // Procs defined by `proc`; exposed so RDOs can serialize their methods.

@@ -36,9 +36,6 @@ class SmtpRelay {
 
   const SmtpRelayStats& stats() const { return stats_; }
 
-  // Messages spooled and not yet handed to the scheduler.
-  size_t SpoolDepth() const { return spooled_; }
-
  private:
   void HandleEnvelope(const Message& envelope);
 
@@ -46,7 +43,6 @@ class SmtpRelay {
   TransportManager* transport_;
   SmtpRelayOptions options_;
   SmtpRelayStats stats_;
-  size_t spooled_ = 0;
 };
 
 }  // namespace rover

@@ -25,7 +25,6 @@ class Duration {
     return Duration(static_cast<int64_t>(s * 1e6));
   }
   static constexpr Duration Zero() { return Duration(0); }
-  static constexpr Duration Infinite() { return Duration(INT64_MAX); }
 
   constexpr int64_t micros() const { return micros_; }
   constexpr double millis() const { return static_cast<double>(micros_) / 1e3; }

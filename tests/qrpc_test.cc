@@ -780,7 +780,9 @@ TEST_F(QrpcTest, ResolutionMatrixEveryPathResolvesExactlyOnce) {
     auto t = std::make_shared<TrackedCall>();
     t->label = label;
     t->call = client_->Call("server", "count", {}, opts);
-    t->call.result.OnReady([t](const QrpcResult&) { ++t->resolutions; });
+    // Raw pointer: `calls` owns t. Capturing the shared_ptr would make a
+    // cycle through the promise, leaking every call the crash abandons.
+    t->call.result.OnReady([raw = t.get()](const QrpcResult&) { ++raw->resolutions; });
     calls.push_back(t);
     return t;
   };

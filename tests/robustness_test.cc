@@ -12,6 +12,7 @@
 #include "src/core/toolkit.h"
 #include "src/qrpc/marshal.h"
 #include "src/rdo/rdo.h"
+#include "src/store/object_store.h"
 #include "src/store/replication.h"
 #include "src/store/server.h"
 #include "src/store/server_store.h"
@@ -20,6 +21,7 @@
 #include "src/transport/message.h"
 #include "src/transport/transport.h"
 #include "src/util/compress.h"
+#include "src/util/delta.h"
 #include "src/util/rng.h"
 
 namespace rover {
@@ -52,6 +54,8 @@ TEST_P(FuzzTest, RandomBytesNeverCrashDecoders) {
     (void)DecodeInvalidation(data);
     (void)ServerTransaction::Decode(data);
     (void)ReplicationSender::ResyncImage::Decode(data);
+    (void)DeltaApply(RandomBytes(&rng_, 512), data);  // delta from a peer
+    (void)ObjectStore{}.Load(data);                   // snapshot from disk
     WireReader reader(data);
     (void)reader.ReadVarint();
     (void)reader.ReadString();

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/connectivity.h"
@@ -335,62 +339,140 @@ TEST(LinkTest, CorruptionDamagesFrameAndInformsSender) {
   EXPECT_EQ(link->stats().frames_corrupted, 1u);
 }
 
-// --- Timer wheel + tombstone bounds -----------------------------------------
+// --- Indexed event heap ----------------------------------------------------
 
-TEST(EventLoopTest, FarTimersParkInWheelAndCancelReclaimsImmediately) {
+TEST(EventLoopTest, FarTimersCancelReclaimsImmediately) {
   EventLoop loop;
   std::vector<EventId> ids;
   for (int i = 0; i < 1000; ++i) {
     ids.push_back(loop.ScheduleAfter(Duration::Seconds(60 + i), [] {}));
   }
-  // Far timers live in the wheel, not the heap.
-  EXPECT_EQ(loop.wheel_resident_events(), 1000u);
-  EXPECT_EQ(loop.heap_physical_size(), 0u);
+  EXPECT_EQ(loop.pending_events(), 1000u);
   for (EventId id : ids) {
     EXPECT_TRUE(loop.Cancel(id));
+    EXPECT_FALSE(loop.Cancel(id));
   }
-  // O(1) cancel reclaims the entries: no tombstones anywhere.
   EXPECT_EQ(loop.pending_events(), 0u);
-  EXPECT_EQ(loop.wheel_resident_events(), 0u);
-  EXPECT_EQ(loop.heap_physical_size(), 0u);
+  EXPECT_FALSE(loop.NextEventTime().has_value());
   EXPECT_EQ(loop.Run(), 0u);
 }
 
-TEST(EventLoopTest, HeapTombstonesStayBoundedUnderArmCancelChurn) {
+TEST(EventLoopTest, ArmCancelChurnLeavesNothingPending) {
   // The deadline-arm-then-cancel pattern (retries that succeed, TTLs that
-  // never fire) must not accumulate state: pending_events() reports zero
-  // and the physical heap is compacted, not grown, across 10k rounds.
+  // never fire) must not accumulate state across 10k rounds.
   EventLoop loop;
   for (int round = 0; round < 10'000; ++round) {
     EventId id =
         loop.ScheduleAfter(Duration::Micros(1000 + (round % 97)), [] {});
     EXPECT_TRUE(loop.Cancel(id));
-    EXPECT_FALSE(loop.Cancel(id));  // reclaim/tombstone is single-shot
+    EXPECT_FALSE(loop.Cancel(id));  // reclaim is single-shot
     ASSERT_EQ(loop.pending_events(), 0u);
-    ASSERT_LE(loop.heap_physical_size(), 200u);
   }
   EXPECT_EQ(loop.Run(), 0u);
 }
 
-TEST(EventLoopTest, WheelExecutionOrderMatchesHeapBitForBit) {
+TEST(EventLoopTest, StaleIdMissesAfterSlotReuse) {
+  EventLoop loop;
+  const EventId cancelled = loop.ScheduleAfter(Duration::Micros(10), [] {});
+  ASSERT_TRUE(loop.Cancel(cancelled));
+  int fired = 0;
+  const EventId reused = loop.ScheduleAfter(Duration::Micros(10), [&] { ++fired; });
+  EXPECT_NE(reused, cancelled);
+  EXPECT_FALSE(loop.Cancel(cancelled));  // must not hit the new occupant
+  EXPECT_EQ(loop.pending_events(), 1u);
+
+  // The same holds for an id whose event already ran.
+  EXPECT_EQ(loop.Run(), 1u);
+  EXPECT_EQ(fired, 1);
+  const EventId next = loop.ScheduleAfter(Duration::Micros(10), [&] { ++fired; });
+  EXPECT_FALSE(loop.Cancel(reused));
+  EXPECT_EQ(loop.Run(), 1u);
+  EXPECT_EQ(fired, 2);
+  EXPECT_FALSE(loop.Cancel(next));
+}
+
+TEST(EventLoopTest, CancelOfRunningEventFromItsOwnCallbackReturnsFalse) {
+  EventLoop loop;
+  EventId self = kInvalidEventId;
+  bool cancel_result = true;
+  self = loop.ScheduleAfter(Duration::Micros(5), [&] { cancel_result = loop.Cancel(self); });
+  EXPECT_EQ(loop.Run(), 1u);
+  EXPECT_FALSE(cancel_result);
+}
+
+TEST(EventLoopTest, CancelOfInvalidIdReturnsFalse) {
+  EventLoop loop;
+  EXPECT_FALSE(loop.Cancel(kInvalidEventId));
+  int fired = 0;
+  loop.ScheduleAfter(Duration::Micros(5), [&] { ++fired; });
+  EXPECT_FALSE(loop.Cancel(kInvalidEventId));
+  EXPECT_EQ(loop.pending_events(), 1u);
+  EXPECT_EQ(loop.Run(), 1u);
+  EXPECT_EQ(fired, 1);
+}
+
+// Reference scheduler for the order test: an ordered map keyed by
+// (when, seq), with ids equal to seq.
+class ReferenceQueue {
+ public:
+  TimePoint now() const { return now_; }
+  uint64_t ScheduleAfter(Duration d, std::function<void()> fn) {
+    const uint64_t seq = next_seq_++;
+    const int64_t when = (now_ + d).micros();
+    queue_.emplace(std::make_pair(when, seq), std::move(fn));
+    when_of_.emplace(seq, when);
+    return seq;
+  }
+  bool Cancel(uint64_t id) {
+    auto it = when_of_.find(id);
+    if (it == when_of_.end()) {
+      return false;
+    }
+    queue_.erase(std::make_pair(it->second, id));
+    when_of_.erase(it);
+    return true;
+  }
+  size_t Run() {
+    size_t executed = 0;
+    while (!queue_.empty()) {
+      auto node = queue_.extract(queue_.begin());
+      now_ = TimePoint::FromMicros(node.key().first);
+      when_of_.erase(node.key().second);
+      node.mapped()();
+      ++executed;
+    }
+    return executed;
+  }
+
+ private:
+  TimePoint now_ = TimePoint::Epoch();
+  uint64_t next_seq_ = 1;
+  std::map<std::pair<int64_t, uint64_t>, std::function<void()>> queue_;
+  std::map<uint64_t, int64_t> when_of_;
+};
+
+TEST(EventLoopTest, ExecutionOrderMatchesReferenceQueue) {
   // Replay one pseudo-random schedule -- same-tick ties, near and far
-  // horizons, overflow-range timers, nested re-arms, and cancellations --
-  // against both storage backends. Event ids are allocated in schedule
-  // order, so identical execution order implies identical id streams and
-  // the cancels hit the same targets in both runs.
-  auto replay = [](bool wheel_on) {
-    EventLoop loop;
-    loop.set_timer_wheel_enabled(wheel_on);
+  // (up to 400 000 s) horizons, nested re-arms, and cancellations --
+  // against the event loop and the reference queue. Execution order and
+  // every cancel result must match. Both draw the same random stream, so
+  // the cancels target the same scheduling-order positions in both runs.
+  struct Result {
     std::vector<uint64_t> order;
+    std::vector<bool> cancels;
+    TimePoint end;
+  };
+  auto replay = []<typename Queue>(Queue& loop) {
+    Result result;
     uint64_t rng = 0x9e3779b97f4a7c15ull;
     auto next = [&rng] {
       rng = rng * 6364136223846793005ull + 1442695040888963407ull;
       return rng >> 33;
     };
-    std::vector<EventId> armed;
+    std::vector<uint64_t> armed;
     int spawned = 0;
     std::function<void(uint64_t)> body = [&](uint64_t tag) {
-      order.push_back(tag);
+      result.order.push_back(tag);
       if (spawned >= 3000) {
         return;
       }
@@ -405,7 +487,7 @@ TEST(EventLoopTest, WheelExecutionOrderMatchesHeapBitForBit) {
             loop.ScheduleAfter(d, [&body, child_tag] { body(child_tag); }));
       }
       if (!armed.empty() && next() % 3 == 0) {
-        loop.Cancel(armed[next() % armed.size()]);
+        result.cancels.push_back(loop.Cancel(armed[next() % armed.size()]));
       }
     };
     for (uint64_t i = 0; i < 8; ++i) {
@@ -413,12 +495,20 @@ TEST(EventLoopTest, WheelExecutionOrderMatchesHeapBitForBit) {
                          [&body, i] { body(i); });
     }
     loop.Run();
-    return order;
+    result.end = loop.now();
+    return result;
   };
-  const std::vector<uint64_t> with_wheel = replay(true);
-  const std::vector<uint64_t> heap_only = replay(false);
-  ASSERT_GT(with_wheel.size(), 1000u);
-  EXPECT_EQ(with_wheel, heap_only);
+  EventLoop loop;
+  ReferenceQueue reference;
+  const Result got = replay(loop);
+  const Result want = replay(reference);
+  ASSERT_GT(want.order.size(), 1000u);
+  EXPECT_EQ(got.order, want.order);
+  EXPECT_EQ(got.cancels, want.cancels);
+  EXPECT_GT(std::count(want.cancels.begin(), want.cancels.end(), false), 0);
+  EXPECT_GT(std::count(want.cancels.begin(), want.cancels.end(), true), 0);
+  EXPECT_EQ(got.end, want.end);
+  EXPECT_EQ(loop.pending_events(), 0u);
 }
 
 // --- Peer-indexed connectivity ----------------------------------------------
