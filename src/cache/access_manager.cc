@@ -189,6 +189,15 @@ const AccessManager::Entry* AccessManager::FindEntry(const std::string& name) co
 
 void AccessManager::Touch(Entry* entry) { entry->last_use_seq = ++use_seq_; }
 
+void AccessManager::MarkFetched(const std::string& name, Entry* entry) {
+  auto pending = pending_imports_.find(name);
+  if (pending != pending_imports_.end()) {
+    entry->invalidated_version =
+        std::max(entry->invalidated_version, pending->second.invalidated_version);
+  }
+  entry->stale = entry->committed.version < entry->invalidated_version;
+}
+
 bool AccessManager::HasCached(const std::string& name) const {
   return FindEntry(name) != nullptr;
 }
@@ -483,7 +492,7 @@ void AccessManager::StartImportRpc(const std::string& name, Priority priority,
           }
           ++stats_.delta_not_modified;
           stats_.delta_bytes_saved += entry->import_image.size();
-          entry->stale = false;
+          MarkFetched(name, entry);
           Touch(entry);
           if (pending != pending_imports_.end() && pending->second.pin) {
             entry->pinned = true;
@@ -590,7 +599,7 @@ void AccessManager::InstallDescriptor(const RdoDescriptor& descriptor, bool pin,
     // only. base_version intentionally keeps pointing at the version the
     // tentative state diverged from.
     existing->committed = descriptor;
-    existing->stale = false;
+    MarkFetched(descriptor.name, existing);
     Touch(existing);
     loop_->ScheduleAfter(Duration::Zero(), [done] { done(Status::Ok()); });
     return;
@@ -625,7 +634,7 @@ void AccessManager::InstallDescriptor(const RdoDescriptor& descriptor, bool pin,
     entry->instance = std::move(*instance_ptr);
     entry->base_version = descriptor.version;
     entry->tentative = false;
-    entry->stale = false;
+    MarkFetched(descriptor.name, entry);
     entry->pinned = entry->pinned || pin;
     entry->bytes = descriptor.ByteSize();
     cache_bytes_ += entry->bytes;
@@ -891,7 +900,7 @@ Promise<ExportResult> AccessManager::Export(const std::string& name, Priority pr
         // Adopt the (possibly merged) committed state locally.
         entry->instance->WriteState(committed->data);
         entry->tentative = false;
-        entry->stale = false;
+        MarkFetched(name, entry);
         entry->bytes = entry->committed.ByteSize();
         cache_bytes_ += entry->bytes;
         // The raw server bytes of the new committed version double as the
@@ -984,6 +993,9 @@ Bytes AccessManager::SerializeCache() const {
     writer.WriteString(entry.tentative ? entry.instance->ReadState() : "");
     writer.WriteBool(entry.pinned);
     writer.WriteBytes(entry.import_image);
+    writer.WriteBool(entry.stale);
+    writer.WriteVarint(entry.invalidated_version);
+    writer.WriteBool(subscribed_.count(name) > 0);
   }
   return writer.TakeData();
 }
@@ -999,6 +1011,9 @@ Status AccessManager::LoadCache(const Bytes& snapshot) {
     ROVER_ASSIGN_OR_RETURN(std::string tentative_state, reader.ReadString());
     ROVER_ASSIGN_OR_RETURN(bool pinned, reader.ReadBool());
     ROVER_ASSIGN_OR_RETURN(Bytes import_image, reader.ReadBytes());
+    ROVER_ASSIGN_OR_RETURN(bool stale, reader.ReadBool());
+    ROVER_ASSIGN_OR_RETURN(uint64_t invalidated_version, reader.ReadVarint());
+    ROVER_ASSIGN_OR_RETURN(bool subscribed, reader.ReadBool());
     ROVER_ASSIGN_OR_RETURN(RdoDescriptor descriptor,
                            RdoDescriptor::Decode(descriptor_bytes));
 
@@ -1024,6 +1039,13 @@ Status AccessManager::LoadCache(const Bytes& snapshot) {
       // WriteState clears dirty; the entry-level flag carries tentativeness.
     }
     entry.pinned = pinned;
+    // The server invalidates each subscriber once per fetch: forgetting a
+    // notice here would serve the invalidated copy as fresh indefinitely.
+    entry.stale = stale;
+    entry.invalidated_version = invalidated_version;
+    if (subscribed) {
+      subscribed_.insert(name);
+    }
     entry.import_image = std::move(import_image);
     entry.bytes = entry.committed.ByteSize();
     cache_bytes_ += entry.bytes;
@@ -1042,15 +1064,35 @@ void AccessManager::HandleControl(const Message& msg) {
     return;  // not for us
   }
   ++stats_.invalidations_received;
-  // The server names objects by path; cache keys may be URNs, so match on
-  // (home server, path).
-  for (auto& [key, entry] : cache_) {
-    const RoverUrn urn = Resolve(key);
-    if (urn.server == msg.header.src && urn.path == inval->name &&
-        entry.committed.version < inval->version) {
-      entry.stale = true;
+  // The server names objects by path. The only keys that can resolve to
+  // (sender, path) are the bare path, when the sender is the default
+  // server, and the object's URN. Resolve confirms each: a bare path that
+  // parses as a URN names an object elsewhere.
+  auto note = [&](const std::string& key) {
+    Entry* entry = FindEntry(key);
+    auto pending = pending_imports_.find(key);
+    if (entry == nullptr && pending == pending_imports_.end()) {
+      return;
     }
+    const RoverUrn urn = Resolve(key);
+    if (urn.server != msg.header.src || urn.path != inval->name) {
+      return;
+    }
+    if (entry != nullptr) {
+      entry->invalidated_version = std::max(entry->invalidated_version, inval->version);
+      if (entry->committed.version < inval->version) {
+        entry->stale = true;
+      }
+    }
+    if (pending != pending_imports_.end()) {
+      pending->second.invalidated_version =
+          std::max(pending->second.invalidated_version, inval->version);
+    }
+  };
+  if (msg.header.src == options_.server_host) {
+    note(inval->name);
   }
+  note(MakeRoverUrn(msg.header.src, inval->name));
 }
 
 void AccessManager::OnServerRestart(const std::string& server, uint64_t /*epoch*/) {
@@ -1058,10 +1100,18 @@ void AccessManager::OnServerRestart(const std::string& server, uint64_t /*epoch*
   // The restarted server lost its volatile subscription table, and anything
   // it committed that never reached its stable store is gone: re-validate
   // every cached import from it (tentative work is preserved -- only the
-  // committed view is marked stale) and re-issue our subscriptions.
+  // committed view is marked stale) and re-issue our subscriptions. The
+  // versions its old incarnation named in invalidations may never have
+  // become durable, so they no longer count against the next fetch.
   for (auto& [key, entry] : cache_) {
     if (Resolve(key).server == server) {
       entry.stale = true;
+      entry.invalidated_version = 0;
+    }
+  }
+  for (auto& [key, pending] : pending_imports_) {
+    if (Resolve(key).server == server) {
+      pending.invalidated_version = 0;
     }
   }
   for (const std::string& key : subscribed_) {

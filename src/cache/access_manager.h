@@ -204,8 +204,10 @@ class AccessManager {
   // --- persistence ---
   // Rover keeps the object cache on stable storage so a reboot does not
   // empty it. SerializeCache captures every entry (committed descriptor,
-  // base version, tentative state, pinned flag); LoadCache rebuilds the
-  // cache in a fresh access manager, preserving tentative work.
+  // base version, tentative state, pinned flag, staleness, the newest
+  // invalidated version, subscription); LoadCache rebuilds the cache in a
+  // fresh access manager, preserving tentative work and what the server
+  // has already told this host.
   Bytes SerializeCache() const;
   Status LoadCache(const Bytes& snapshot);
 
@@ -255,6 +257,11 @@ class AccessManager {
     uint64_t base_version = 0;
     bool tentative = false;                  // local uncommitted mutations
     bool stale = false;                      // invalidated by the server
+    // Highest version any invalidation for this object named. The server
+    // invalidates a subscriber once per fetch, so a fetch re-derives `stale`
+    // from this rather than clearing it: an invalidation that overtook the
+    // reply it races is never lost.
+    uint64_t invalidated_version = 0;
     bool pinned = false;
     uint64_t last_use_seq = 0;
     size_t bytes = 0;
@@ -267,6 +274,10 @@ class AccessManager {
   Entry* FindEntry(const std::string& name);
   const Entry* FindEntry(const std::string& name) const;
   void Touch(Entry* entry);
+  // `entry` now holds what the server just sent: fresh unless an
+  // invalidation (seen by the entry or by an import of `name` in flight)
+  // named a newer version.
+  void MarkFetched(const std::string& name, Entry* entry);
   void InstallDescriptor(const RdoDescriptor& descriptor, bool pin,
                          std::function<void(const Status&)> done);
   void EvictIfNeeded();
@@ -317,6 +328,9 @@ class AccessManager {
     // version below this cannot satisfy every waiter and falls back to a
     // full re-fetch.
     uint64_t required_version = 0;
+    // Highest version an invalidation named while the import was in
+    // flight; the installed entry inherits it (see Entry).
+    uint64_t invalidated_version = 0;
   };
   std::map<std::string, PendingImport> pending_imports_;
   // Newest import rpc issued per name. An import response handler whose rpc

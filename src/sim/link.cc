@@ -147,7 +147,7 @@ void Link::SendFrame(const std::string& from_host, Bytes frame, DeliveryCallback
     if (done) {
       // Fail asynchronously so callers never observe re-entrant completion.
       loop_->ScheduleAfter(Duration::Zero(),
-                           [done] { done(UnavailableError("link down")); });
+                           [done = std::move(done)] { done(UnavailableError("link down")); });
     }
     return;
   }
@@ -176,7 +176,7 @@ void Link::SendFrame(const std::string& from_host, Bytes frame, DeliveryCallback
       if (up == kNever) {
         ++stats_.frames_lost;
         busy_until_[dir] = t;
-        loop_->ScheduleAt(t, [done] {
+        loop_->ScheduleAt(t, [done = std::move(done)] {
           if (done) {
             done(UnavailableError("link down with no future connectivity"));
           }
@@ -209,7 +209,7 @@ void Link::SendFrame(const std::string& from_host, Bytes frame, DeliveryCallback
     if (!loss_rng_.NextBool(p_ok)) {
       ++stats_.frames_lost;
       // The sender learns about the loss one RTT-ish later (retransmit timer).
-      loop_->ScheduleAt(arrival + profile_.latency, [done] {
+      loop_->ScheduleAt(arrival + profile_.latency, [done = std::move(done)] {
         if (done) {
           done(DataLossError("frame lost"));
         }
@@ -226,12 +226,12 @@ void Link::SendFrame(const std::string& from_host, Bytes frame, DeliveryCallback
     Bytes damaged = frame;
     damaged[damaged.size() / 2] ^= 0xa5;
     auto damaged_ptr = std::make_shared<Bytes>(std::move(damaged));
-    loop_->ScheduleAt(arrival, [this, dir, damaged_ptr, from_host] {
+    loop_->ScheduleAt(arrival, [this, dir, damaged_ptr] {
       if (handlers_[dir]) {
-        handlers_[dir](std::move(*damaged_ptr), from_host);
+        handlers_[dir](std::move(*damaged_ptr), Endpoint(dir));
       }
     });
-    loop_->ScheduleAt(arrival + profile_.latency, [done] {
+    loop_->ScheduleAt(arrival + profile_.latency, [done = std::move(done)] {
       if (done) {
         done(DataLossError("frame corrupted"));
       }
@@ -256,14 +256,16 @@ void Link::SendFrame(const std::string& from_host, Bytes frame, DeliveryCallback
 
   const size_t payload = frame.size();
   auto frame_ptr = std::make_shared<Bytes>(std::move(frame));
-  loop_->ScheduleAt(deliver_at, [this, dir, frame_ptr, done, payload, from_host,
+  // The sender's name is the link's own endpoint string: the event copies
+  // no string, and it owns the completion callback outright.
+  loop_->ScheduleAt(deliver_at, [this, dir, frame_ptr, done = std::move(done), payload,
                                  duplicate] {
     ++stats_.frames_delivered;
     stats_.payload_bytes += payload;
     if (handlers_[dir]) {
       // A pending duplicate delivery still needs the bytes; otherwise hand
       // the storage to the receiver outright.
-      handlers_[dir](duplicate ? *frame_ptr : std::move(*frame_ptr), from_host);
+      handlers_[dir](duplicate ? *frame_ptr : std::move(*frame_ptr), Endpoint(dir));
     }
     if (done) {
       done(Status::Ok());
@@ -271,9 +273,9 @@ void Link::SendFrame(const std::string& from_host, Bytes frame, DeliveryCallback
   });
   if (duplicate) {
     ++stats_.frames_duplicated;
-    loop_->ScheduleAt(deliver_at + profile_.latency, [this, dir, frame_ptr, from_host] {
+    loop_->ScheduleAt(deliver_at + profile_.latency, [this, dir, frame_ptr] {
       if (handlers_[dir]) {
-        handlers_[dir](std::move(*frame_ptr), from_host);
+        handlers_[dir](std::move(*frame_ptr), Endpoint(dir));
       }
     });
   }

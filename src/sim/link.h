@@ -125,6 +125,8 @@ class Link {
 
  private:
   int DirectionFrom(const std::string& host) const;  // 0: a->b, 1: b->a
+  // The sending endpoint of direction `dir`.
+  const std::string& Endpoint(int dir) const { return dir == 0 ? host_a_ : host_b_; }
 
   EventLoop* loop_;
   std::string host_a_;

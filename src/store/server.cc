@@ -26,6 +26,7 @@ const obs::Schema<RoverServerStats> kMetrics(
      {"exports", &RoverServerStats::exports},
      {"invokes", &RoverServerStats::invokes},
      {"invalidations_sent", &RoverServerStats::invalidations_sent},
+     {"invalidations_suppressed", &RoverServerStats::invalidations_suppressed},
      {"invalidations_expired", &RoverServerStats::invalidations_expired},
      {"unsubscribes", &RoverServerStats::unsubscribes},
      {"subscribers_dropped", &RoverServerStats::subscribers_dropped},
@@ -479,6 +480,9 @@ void RoverServer::HandleImport(const RpcRequestBody& req, const Message& envelop
     respond(ErrorResponse(descriptor.status()));
     return;
   }
+  // Whatever the reply kind, the host now holds (or is about to hold) the
+  // current version: the next commit must invalidate it again.
+  ArmSubscriber(*name, envelope.header.src, descriptor->version);
   if (req.args.size() == 1) {
     // Legacy form: the bare encoded descriptor, no wrapper.
     respond(ValueResponse(descriptor->Encode()));
@@ -550,6 +554,7 @@ void RoverServer::HandleExport(const RpcRequestBody& req, const Message& envelop
     if (outcome.status().code() == StatusCode::kConflict) {
       auto committed = store_.Get(proposed->name);
       if (committed.ok()) {
+        ArmSubscriber(proposed->name, envelope.header.src, committed->version);
         body.result = committed->Encode();
       }
     }
@@ -557,6 +562,9 @@ void RoverServer::HandleExport(const RpcRequestBody& req, const Message& envelop
     return;
   }
   DropInstance(proposed->name);
+  // The exporter is skipped by this commit's fan-out and learns the new
+  // version from the reply; re-arm it for the commits after.
+  ArmSubscriber(proposed->name, envelope.header.src, outcome->new_version);
   NotifySubscribers(proposed->name, outcome->new_version, envelope.header.src);
   // Response payload: was_conflict flag + the now-committed descriptor
   // (whose data may be a resolver's merge of concurrent updates).
@@ -718,7 +726,8 @@ void RoverServer::HandleSubscribe(const RpcRequestBody& req, const Message& enve
     respond(ErrorResponse(name.status()));
     return;
   }
-  subscribers_[*name].insert(envelope.header.src);
+  // A re-subscribe keeps the version last served: it ships nothing.
+  subscribers_[*name][envelope.header.src].armed = true;
   respond(ValueResponse(int64_t{1}));
 }
 
@@ -811,37 +820,55 @@ void RoverServer::FlushInvalidations() {
     if (it == subscribers_.end()) {
       continue;  // last subscriber left while the flush was queued
     }
-    // Encode once; every subscriber's message shares the storage.
-    const Buffer payload{EncodeInvalidation(name, pending.version)};
-    for (const std::string& host : it->second) {
+    // Encoded at most once; every subscriber's message and delivered
+    // callback share the storage.
+    Buffer payload;
+    std::shared_ptr<const std::string> shared_name;
+    for (auto& [host, sub] : it->second) {
       if (host == pending.except_host) {
         continue;  // the exporter already knows
+      }
+      if (!sub.armed || sub.served >= pending.version) {
+        // Either already told of an earlier commit and not re-armed since,
+        // so its copy is stale already, or served this version after the
+        // commit: a notice would change nothing. The second stays armed.
+        ++stats_.invalidations_suppressed;
+        continue;
+      }
+      // Disarmed before the send: a send refused on the spot re-arms it.
+      sub.armed = false;
+      if (payload.empty()) {
+        payload = Buffer{EncodeInvalidation(name, pending.version)};
+        shared_name = std::make_shared<const std::string>(name);
       }
       Message msg;
       msg.header.type = MessageType::kControl;
       msg.header.priority = Priority::kBackground;
       msg.header.dst = host;
       msg.payload = payload;  // refcount bump, not a copy
-      NetworkScheduler::DeliveredCallback delivered;
-      if (options_.invalidation_ttl > Duration::Zero()) {
-        delivered = [this, weak = std::weak_ptr<char>(alive_), host](const Status& status) {
-          if (weak.expired()) {
-            return;  // server crashed while the invalidation was queued
-          }
-          OnInvalidationDelivered(host, status);
-        };
-      }
+      NetworkScheduler::DeliveredCallback delivered =
+          [this, weak = std::weak_ptr<char>(alive_), name = shared_name,
+           host = host](const Status& status) {
+            if (weak.expired()) {
+              return;  // server crashed while the invalidation was queued
+            }
+            OnInvalidationDelivered(*name, host, status);
+          };
       transport_->Send(std::move(msg), std::move(delivered), options_.invalidation_ttl);
       ++stats_.invalidations_sent;
     }
   }
 }
 
-void RoverServer::OnInvalidationDelivered(const std::string& host, const Status& status) {
+void RoverServer::OnInvalidationDelivered(const std::string& name, const std::string& host,
+                                          const Status& status) {
   if (status.ok()) {
     invalidation_failures_.erase(host);
     return;
   }
+  // The host never got the notice (expired, cancelled, shed): the next
+  // commit must try again.
+  ArmSubscriber(name, host);
   if (status.code() != StatusCode::kDeadlineExceeded) {
     return;  // cancelled for another reason; not evidence the host is gone
   }
@@ -853,6 +880,22 @@ void RoverServer::OnInvalidationDelivered(const std::string& host, const Status&
     DropSubscriber(host);
     invalidation_failures_.erase(host);
     ++stats_.subscribers_dropped;
+  }
+}
+
+void RoverServer::ArmSubscriber(const std::string& name, const std::string& host,
+                                std::optional<uint64_t> served) {
+  auto it = subscribers_.find(name);
+  if (it == subscribers_.end()) {
+    return;
+  }
+  auto sub = it->second.find(host);
+  if (sub == it->second.end()) {
+    return;
+  }
+  sub->second.armed = true;
+  if (served.has_value()) {
+    sub->second.served = *served;
   }
 }
 

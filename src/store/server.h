@@ -3,14 +3,14 @@
 // import (fetch), export (commit with conflict detection/resolution),
 // server-side method invocation, creation, listing -- and pushes
 // best-effort invalidation notices to subscribed clients when an object
-// commits a new version.
+// commits a new version, once per subscriber until it fetches again.
 
 #ifndef ROVER_SRC_STORE_SERVER_H_
 #define ROVER_SRC_STORE_SERVER_H_
 
 #include <map>
 #include <memory>
-#include <set>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,6 +45,10 @@ struct RoverServerStats {
   uint64_t exports = 0;
   uint64_t invokes = 0;
   uint64_t invalidations_sent = 0;
+  // Subscribers a commit skipped because an earlier invalidation already
+  // told them and nothing has re-armed them since, or because they were
+  // served the committed version before the commit's flush.
+  uint64_t invalidations_suppressed = 0;
   uint64_t invalidations_expired = 0;  // TTL fired before delivery
   uint64_t unsubscribes = 0;
   uint64_t subscribers_dropped = 0;    // GC'd after repeated expiries
@@ -162,7 +166,13 @@ class RoverServer {
   void RecoverWalSpace(std::function<void()> release);
   void TryReclaimWalSpace();
   void FinishWalRecovery(bool ok);
-  void OnInvalidationDelivered(const std::string& host, const Status& status);
+  void OnInvalidationDelivered(const std::string& name, const std::string& host,
+                               const Status& status);
+  // Re-arms `host`'s subscription to `name`, if it has one: the next commit
+  // past the version last served to the host invalidates it again. `served`
+  // is the version an import or export reply is shipping to the host.
+  void ArmSubscriber(const std::string& name, const std::string& host,
+                     std::optional<uint64_t> served = std::nullopt);
   void DropSubscriber(const std::string& host);
   void HandleImport(const RpcRequestBody& req, const Message& envelope,
                     QrpcServer::Responder respond);
@@ -204,7 +214,18 @@ class RoverServer {
   ObjectStore store_;
   ConflictResolverRegistry resolvers_;
   std::map<std::string, std::unique_ptr<RdoInstance>> instances_;
-  std::map<std::string, std::set<std::string>> subscribers_;  // name -> hosts
+  // Subscriptions are one-shot callbacks: a commit invalidates only armed
+  // hosts and disarms them, since a host already told holds a stale copy
+  // until it fetches again. Serving the host an import or export of the
+  // object, a rover.subscribe, and a failed invalidation delivery re-arm it.
+  struct Subscription {
+    bool armed = true;
+    // The version last shipped to the host in an import or export reply. A
+    // flush never notifies (nor disarms) a host served its version already:
+    // an import handled between a commit and its same-tick flush.
+    uint64_t served = 0;
+  };
+  std::map<std::string, std::map<std::string, Subscription>> subscribers_;  // name -> host
   // Store mutations made by the handler for (client, rpc_id), buffered until
   // its response is journaled so the pair forms one atomic WAL transaction.
   std::map<std::pair<std::string, uint64_t>, std::vector<ReplayOp>> pending_ops_;

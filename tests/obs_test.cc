@@ -577,6 +577,8 @@ TEST(UnifiedRegistryTest, MetricNamesArePinned) {
             "invalidations_expired", "invalidations_sent", "invokes", "subscribers_dropped",
             "unsubscribes", "wal_compactions_forced", "wal_flush_failures",
             "wal_space_exhausted", "wal_space_recoveries"});
+  // New: subscribers a commit skipped because they were already told.
+  AddNames(&want_server, "rover_server", {"invalidations_suppressed"});
   AddNames(&want_server, "server_store",
            {"recoveries", "snapshot_client_records", "snapshots_written",
             "transactions_logged", "wal_interior_quarantined", "wal_records_dropped"});
